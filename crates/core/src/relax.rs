@@ -6,7 +6,7 @@ use std::sync::Arc;
 use medkb_ekg::NeighborhoodScan;
 use medkb_obs::{Counter, Histogram, Registry};
 use medkb_snomed::ContextTag;
-use medkb_types::{ContextId, ExtConceptId, InstanceId, MedKbError, Result};
+use medkb_types::{ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result};
 
 use crate::config::RelaxConfig;
 use crate::ingest::IngestOutput;
@@ -336,6 +336,22 @@ impl QueryRelaxer {
         Err(MedKbError::not_found("external concept", term))
     }
 
+    /// [`MedKbError::NotFound`] unless `concept` is a concept of this
+    /// world. Raw ids arrive from the wire unchecked, and the graph indexes
+    /// by them, so the entry points the wire reaches check them here
+    /// first: [`Self::relax_concept_with_feedback`],
+    /// [`Self::relax_concept_reference`] and [`Self::explain`].
+    fn check_concept(&self, concept: ExtConceptId) -> Result<()> {
+        if concept.as_usize() < self.ingested.ekg.len() {
+            Ok(())
+        } else {
+            Err(MedKbError::not_found(
+                "external concept",
+                concept.raw().to_string(),
+            ))
+        }
+    }
+
     /// Run Algorithm 2 for `[term, context]`, returning up to `k`
     /// instances' worth of ranked answers.
     ///
@@ -373,6 +389,7 @@ impl QueryRelaxer {
         if k == 0 {
             return Err(MedKbError::invalid("k must be positive"));
         }
+        self.check_concept(query)?;
         // The RAII span records the full call into `relax.latency_us` when
         // instrumentation is on; `None` otherwise — no timer read at all.
         let _span = self.metrics.as_ref().map(|m| m.latency.time());
@@ -654,6 +671,7 @@ impl QueryRelaxer {
         if k == 0 {
             return Err(MedKbError::invalid("k must be positive"));
         }
+        self.check_concept(query)?;
         let tag: Option<ContextTag> = context.map(|c| self.ingested.tag(c));
 
         let mut radius = self.config.radius.max(1);
@@ -788,12 +806,17 @@ impl QueryRelaxer {
     /// does for `query` — the LCS, the context-sensitive information
     /// contents, and the Eq. 4 path factor. Integration surfaces (the CLI,
     /// the conversational engine's debugging view) show this to users.
+    ///
+    /// # Errors
+    /// [`MedKbError::NotFound`] if either id is not a concept of this world.
     pub fn explain(
         &self,
         query: ExtConceptId,
         candidate: ExtConceptId,
         context: Option<ContextId>,
-    ) -> String {
+    ) -> Result<String> {
+        self.check_concept(query)?;
+        self.check_concept(candidate)?;
         let tag = context.map(|c| self.ingested.tag(c));
         let scorer = QrScorer::new(&self.ingested.ekg, &self.ingested.freqs, &self.config);
         let b = scorer.breakdown(query, candidate, tag);
@@ -803,7 +826,7 @@ impl QueryRelaxer {
             .into_iter()
             .map(|c| ekg.name(c))
             .collect();
-        format!(
+        Ok(format!(
             "sim({q}, {c}) = {score:.4}\n  path: {ups} generalization(s) + {downs} \
              specialization(s) via {{{lcs}}} → p = {p:.4} (w_gen = {wg}, w_spec = {ws})\n  \
              IC({q}) = {icq:.3}, IC({c}) = {icc:.3}{ctx} → sim_IC = {simic:.4}",
@@ -823,7 +846,7 @@ impl QueryRelaxer {
                 _ => " (aggregate over contexts)".to_string(),
             },
             simic = b.sim_ic,
-        ) + &format!("\n  chain: {}", chain.join(" → "))
+        ) + &format!("\n  chain: {}", chain.join(" → ")))
     }
 
     /// Rank an explicit candidate set against a query concept — used by the
@@ -1082,14 +1105,31 @@ mod tests {
         let ctx = treatment_ctx(&r);
         let q = r.resolve_term("pneumonia").unwrap();
         let c = r.resolve_term("lower respiratory tract infection").unwrap();
-        let text = r.explain(q, c, Some(ctx));
+        let text = r.explain(q, c, Some(ctx)).unwrap();
         assert!(text.contains("pneumonia"), "{text}");
         assert!(text.contains("generalization"), "{text}");
         assert!(text.contains("sim_IC"), "{text}");
         assert!(text.contains("Treatment"), "{text}");
         // The reverse direction explains a different path shape.
-        let rev = r.explain(c, q, Some(ctx));
+        let rev = r.explain(c, q, Some(ctx)).unwrap();
         assert_ne!(text, rev);
+    }
+
+    /// An id past the end of the graph is `NotFound` from the three checked
+    /// entry points — never an index panic.
+    #[test]
+    fn unknown_concept_ids_are_not_found() {
+        let r = relaxer();
+        let known = r.resolve_term("fever").unwrap();
+        let unknown = ExtConceptId::new(r.ingested().ekg.len() as u32);
+        for err in [
+            r.relax_concept(unknown, None, 5).err(),
+            r.relax_concept_reference(unknown, None, 5).err(),
+            r.explain(unknown, known, None).err(),
+            r.explain(known, unknown, None).err(),
+        ] {
+            assert!(matches!(err, Some(MedKbError::NotFound { .. })), "{err:?}");
+        }
     }
 
     #[test]

@@ -1,16 +1,115 @@
-//! A minimal JSON validator, so smoke tests can assert that emitted
-//! snapshots parse without pulling in a serialization dependency.
+//! The workspace's one JSON codec: a small value parser ([`Json`]),
+//! string escaping ([`escape`]), and [`validate_json`] on top of the
+//! parser.
+//!
+//! The vendor policy (no registry access) rules out serde. Documents are
+//! rendered with `format!` throughout the workspace; this module reads
+//! them back — HTTP request bodies (DESIGN.md §16) and emitted metrics
+//! snapshots alike. The grammar is RFC 8259 (numbers, strings with the
+//! standard escapes, arrays, objects) with two deliberate restrictions:
+//! duplicate object keys are rejected rather than last-wins, so a
+//! smuggled `{"k":1,"k":9999}` can't mean different things to different
+//! layers, and a `\u` escape must name a scalar value (no surrogates).
 
-/// Validate that `input` is one well-formed JSON value (object, array,
-/// string, number, boolean, or null) with nothing but whitespace after it.
-pub fn validate_json(input: &str) -> bool {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    if !value(bytes, &mut pos) {
-        return false;
+use std::fmt;
+
+/// One parsed JSON value. Object fields keep insertion order (requests
+/// are tiny — linear lookup beats a map allocation).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (parsed as `f64`).
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, fields in source order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parse one complete JSON value (with only whitespace around it).
+    pub fn parse(input: &str) -> Result<Json, String> {
+        let bytes = input.as_bytes();
+        let mut pos = 0usize;
+        let v = value(bytes, &mut pos)?;
+        skip_ws(bytes, &mut pos);
+        if pos != bytes.len() {
+            return Err(format!("trailing bytes after JSON value at offset {pos}"));
+        }
+        Ok(v)
     }
-    skip_ws(bytes, &mut pos);
-    pos == bytes.len()
+
+    /// Object field lookup (None for missing fields and non-objects).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer, if it is one (rejects
+    /// fractional and negative numbers rather than truncating).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice, if it is one.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Whether the value is `null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, Json::Null)
+    }
+}
+
+/// Whether `input` is one well-formed JSON value with nothing but
+/// whitespace around it.
+pub fn validate_json(input: &str) -> bool {
+    Json::parse(input).is_ok()
+}
+
+/// Escape a string for embedding in a JSON document (adds the quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -19,117 +118,146 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(b: &[u8], pos: &mut usize) -> bool {
+fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         Some(b'{') => object(b, pos),
         Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
+        Some(b'"') => Ok(Json::Str(string(b, pos)?)),
+        Some(b't') => literal(b, pos, b"true", Json::Bool(true)),
+        Some(b'f') => literal(b, pos, b"false", Json::Bool(false)),
+        Some(b'n') => literal(b, pos, b"null", Json::Null),
         Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        _ => false,
+        Some(c) => Err(format!("unexpected byte {c:#04x} at offset {pos}")),
+        None => Err("unexpected end of input".into()),
     }
 }
 
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
+fn literal(b: &[u8], pos: &mut usize, lit: &[u8], v: Json) -> Result<Json, String> {
     if b[*pos..].starts_with(lit) {
         *pos += lit.len();
-        true
+        Ok(v)
     } else {
-        false
+        Err(format!("bad literal at offset {pos}"))
     }
 }
 
-fn object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '{'
+fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '{'
+    let mut fields: Vec<(String, Json)> = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return true;
+        return Ok(Json::Obj(fields));
     }
     loop {
         skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') || !string(b, pos) {
-            return false;
+        if b.get(*pos) != Some(&b'"') {
+            return Err(format!("expected object key at offset {pos}"));
+        }
+        let key = string(b, pos)?;
+        if fields.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate object key {key:?}"));
         }
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
-            return false;
+            return Err(format!("expected ':' at offset {pos}"));
         }
         *pos += 1;
-        if !value(b, pos) {
-            return false;
-        }
+        let v = value(b, pos)?;
+        fields.push((key, v));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return true;
+                return Ok(Json::Obj(fields));
             }
-            _ => return false,
+            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
         }
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '['
+fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+    *pos += 1; // '['
+    let mut items = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
         *pos += 1;
-        return true;
+        return Ok(Json::Arr(items));
     }
     loop {
-        if !value(b, pos) {
-            return false;
-        }
+        items.push(value(b, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return true;
+                return Ok(Json::Arr(items));
             }
-            _ => return false,
+            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
         }
     }
 }
 
-fn string(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
+fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+    *pos += 1; // '"'
+    let mut out = String::new();
+    loop {
+        match b.get(*pos) {
+            Some(b'"') => {
                 *pos += 1;
-                return true;
+                return Ok(out);
             }
-            b'\\' => {
-                // RFC 8259 §7: only `" \ / b f n r t` and `uXXXX` may be
-                // escaped — anything else (`\q`, `\x`, a truncated escape)
-                // fails the whole document.
-                match b.get(*pos + 1) {
-                    Some(b'u') => {
-                        if b.len() < *pos + 6
-                            || !b[*pos + 2..*pos + 6].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
-                        }
-                        *pos += 6;
-                    }
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                    _ => return false,
+            Some(b'\\') => match b.get(*pos + 1) {
+                Some(b'u') => {
+                    let hex = b
+                        .get(*pos + 2..*pos + 6)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let code = std::str::from_utf8(hex)
+                        .ok()
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| "bad \\u escape".to_string())?;
+                    // Surrogates would need pairing; the serving protocol
+                    // never emits them, so reject rather than mis-decode.
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| "\\u escape is not a scalar value".to_string())?;
+                    out.push(c);
+                    *pos += 6;
                 }
+                Some(&e) => {
+                    out.push(match e {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        _ => return Err(format!("bad escape \\{}", e as char)),
+                    });
+                    *pos += 2;
+                }
+                None => return Err("truncated escape".into()),
+            },
+            Some(&c) if c < 0x20 => {
+                return Err(format!("raw control byte {c:#04x} in string"));
             }
-            0x00..=0x1f => return false,
-            _ => *pos += 1,
+            Some(_) => {
+                // Multi-byte UTF-8: the input is a &str, so sequences are
+                // valid — copy the whole scalar.
+                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
+                let c = s.chars().next().expect("non-empty");
+                out.push(c);
+                *pos += c.len_utf8();
+            }
+            None => return Err("unterminated string".into()),
         }
     }
-    false
 }
 
-fn number(b: &[u8], pos: &mut usize) -> bool {
+fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -139,20 +267,19 @@ fn number(b: &[u8], pos: &mut usize) -> bool {
         *pos += 1;
     }
     if *pos == int_start {
-        return false;
+        return Err(format!("expected digits at offset {pos}"));
     }
-    // Leading zeros are invalid JSON ("01"), a lone zero is fine.
     if b[int_start] == b'0' && *pos - int_start > 1 {
-        return false;
+        return Err("leading zeros are not valid JSON".into());
     }
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
-        let frac_start = *pos;
+        let frac = *pos;
         while *pos < b.len() && b[*pos].is_ascii_digit() {
             *pos += 1;
         }
-        if *pos == frac_start {
-            return false;
+        if *pos == frac {
+            return Err("digits required after '.'".into());
         }
     }
     if matches!(b.get(*pos), Some(b'e' | b'E')) {
@@ -160,24 +287,63 @@ fn number(b: &[u8], pos: &mut usize) -> bool {
         if matches!(b.get(*pos), Some(b'+' | b'-')) {
             *pos += 1;
         }
-        let exp_start = *pos;
+        let exp = *pos;
         while *pos < b.len() && b[*pos].is_ascii_digit() {
             *pos += 1;
         }
-        if *pos == exp_start {
-            return false;
+        if *pos == exp {
+            return Err("digits required in exponent".into());
         }
     }
-    *pos > start
+    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    text.parse::<f64>()
+        .map(Json::Num)
+        .map_err(|e| e.to_string())
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => write!(f, "null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => write!(f, "{n:?}"),
+            Json::Str(s) => write!(f, "{}", escape(s)),
+            Json::Arr(items) => {
+                write!(f, "[")?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                write!(f, "]")
+            }
+            Json::Obj(fields) => {
+                write!(f, "{{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, ",")?;
+                    }
+                    write!(f, "{}:{v}", escape(k))?;
+                }
+                write!(f, "}}")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every verdict the codec owes, one corpus: well-formed values,
+    /// malformed ones, and RFC 8259 §7 string escapes (only the eight
+    /// named escapes plus `\uXXXX` are legal, so a body smuggling `"\q"`
+    /// fails the parse and the router answers 400, never a
+    /// silently-mangled term).
     #[test]
-    fn accepts_well_formed_values() {
-        for ok in [
+    fn accepts_and_rejects_the_shared_corpus() {
+        let accept = [
             "{}",
             "[]",
             "null",
@@ -187,14 +353,14 @@ mod tests {
             "\"a b\\n\\u00ff\"",
             r#"{"a": [1, 2, {"b": null}], "c": "x"}"#,
             "  { \"k\" : 1 }  ",
-        ] {
-            assert!(validate_json(ok), "{ok}");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_values() {
-        for bad in [
+            r#""\"""#,
+            r#""\\""#,
+            r#""\/""#,
+            r#""\b\f\n\r\t""#,
+            r#""ÿ""#,
+            r#""aÿ""#,
+        ];
+        let reject = [
             "",
             "{",
             "[1,]",
@@ -205,38 +371,62 @@ mod tests {
             "nulll",
             "\"unterminated",
             "{} trailing",
+            "{} x",
             "{'a': 1}",
-        ] {
-            assert!(!validate_json(bad), "{bad}");
-        }
-    }
-
-    /// RFC 8259 §7 regression: only the eight named escapes plus `\uXXXX`
-    /// are legal. A validator that accepts any escaped byte would bless
-    /// documents every real parser rejects.
-    #[test]
-    fn rejects_invalid_string_escapes() {
-        for bad in [
+            r#"{"k":1,"k":2}"#,
             r#""\q""#,
             r#""\x41""#,
             r#""\U00FF""#,
             r#""\u00f""#,
             r#""\u00fz""#,
+            r#""\ud800""#, // lone surrogate — not a scalar value
             r#""\"#,
             r#""ends with\"#,
             r#"{"a": "\e"}"#,
-        ] {
-            assert!(!validate_json(bad), "{bad}");
+            r#"{"term": "\e"}"#,
+        ];
+        for ok in accept {
+            assert!(Json::parse(ok).is_ok() && validate_json(ok), "{ok}");
         }
-        // The eight legal escapes all pass, alone and combined.
-        for ok in [
-            r#""\"""#,
-            r#""\\""#,
-            r#""\/""#,
-            r#""\b\f\n\r\t""#,
-            r#""aÿ""#,
-        ] {
-            assert!(validate_json(ok), "{ok}");
+        for bad in reject {
+            assert!(Json::parse(bad).is_err() && !validate_json(bad), "{bad}");
         }
+    }
+
+    #[test]
+    fn parses_request_shaped_objects() {
+        let v = Json::parse(r#"{"term": "fever", "context": null, "k": 5}"#).unwrap();
+        assert_eq!(v.get("term").and_then(Json::as_str), Some("fever"));
+        assert!(v.get("context").unwrap().is_null());
+        assert_eq!(v.get("k").and_then(Json::as_u64), Some(5));
+        assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn rejects_fractional_and_negative_as_u64() {
+        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("12").unwrap().as_u64(), Some(12));
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "tab\there",
+            "nl\nthere",
+            "unicode Δέλτα",
+        ] {
+            let enc = escape(s);
+            assert_eq!(Json::parse(&enc).unwrap().as_str(), Some(s), "{enc}");
+        }
+    }
+
+    #[test]
+    fn display_is_parseable() {
+        let v = Json::parse(r#"{"a":[1,2.5,null,true],"b":"x\ny"}"#).unwrap();
+        let rendered = v.to_string();
+        assert_eq!(Json::parse(&rendered).unwrap(), v);
     }
 }

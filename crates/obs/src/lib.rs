@@ -1,6 +1,7 @@
 //! Runtime observability for the medkb pipeline: a thread-safe metrics
 //! registry built from `std` atomics only (no external dependencies), plus
-//! lightweight scoped span timers.
+//! lightweight scoped span timers. The crate also holds the workspace's
+//! one JSON codec ([`Json`], [`escape`], [`validate_json`]).
 //!
 //! Three metric kinds, all lock-free on the hot path:
 //!
@@ -48,6 +49,6 @@ mod json;
 mod registry;
 mod snapshot;
 
-pub use json::validate_json;
+pub use json::{escape, validate_json, Json};
 pub use registry::{Counter, Gauge, Histogram, Registry, SpanTimer, LATENCY_BOUNDS_US};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};

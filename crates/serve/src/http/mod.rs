@@ -25,7 +25,6 @@
 //! swaps — the HTTP layer adds no second copy of either mechanism.
 
 pub mod coalesce;
-pub mod json;
 pub mod parser;
 pub mod router;
 pub mod shaping;
@@ -40,7 +39,7 @@ use std::time::{Duration, Instant};
 use medkb_obs::Registry;
 
 pub use coalesce::{Coalescer, CoalesceConfig};
-pub use json::Json;
+pub use medkb_obs::Json;
 pub use parser::{ParseError, ParseLimits, Request, RequestParser};
 pub use router::{
     render_relaxation, render_serve_result, served_from_label, Response, Router, CLIENT_HEADER,

@@ -25,11 +25,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use medkb_obs::{Counter, Histogram, Registry};
+use medkb_obs::{escape, Counter, Histogram, Json, Registry};
 use medkb_types::{ContextId, ExtConceptId, MedKbError};
 
 use crate::http::coalesce::Coalescer;
-use crate::http::json::{escape, Json};
 use crate::http::parser::Request;
 use crate::http::shaping::RateLimiter;
 use crate::http::obs_names;
@@ -349,7 +348,10 @@ impl Router {
             Err(r) => return r,
         };
         let snap = self.server.snapshot();
-        let text = snap.relaxer().explain(query, candidate, context);
+        let text = match snap.relaxer().explain(query, candidate, context) {
+            Ok(t) => t,
+            Err(e) => return error_response(&e),
+        };
         Response::ok(format!(
             "{{\"epoch\":{},\"explanation\":{}}}",
             snap.epoch(),

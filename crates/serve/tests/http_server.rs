@@ -421,7 +421,7 @@ fn hot_reload_over_http_swaps_the_epoch() {
         "POST",
         "/reload",
         &[],
-        &format!("{{\"path\":{}}}", medkb_serve::http::json::escape(path.to_str().unwrap())),
+        &format!("{{\"path\":{}}}", medkb_obs::escape(path.to_str().unwrap())),
     );
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"epoch\":1"), "{body}");
@@ -478,6 +478,93 @@ fn metrics_endpoint_serves_the_http_family() {
     assert!(medkb_obs::validate_json(&body), "metrics must be valid JSON");
     for key in ["http.requests", "http.responses.ok", "http.connections", "http.request_us"] {
         assert!(body.contains(key), "metrics missing {key}: {body}");
+    }
+    http.shutdown();
+}
+
+/// A default-config front end over a fresh world, plus a known query
+/// concept, its in-process answer at k = 5, and an id past the end of
+/// the graph.
+fn unknown_id_fixture(seed: u64) -> (HttpServer, ExtConceptId, String, u32) {
+    let config = exact_config();
+    let (w, out) = world(seed, 1, &config);
+    let q = w.query_concepts()[0];
+    let want = medkb_serve::http::render_relaxation(
+        &QueryRelaxer::new(out.clone(), config.clone())
+            .relax_concept(q, None, 5)
+            .unwrap(),
+    );
+    let unknown = w.ekg.len() as u32 + 1000;
+    let server = Arc::new(RelaxServer::new(out, config, ServeConfig::default()));
+    let http = HttpServer::start(server, None, HttpConfig::default()).unwrap();
+    (http, q, want, unknown)
+}
+
+/// An unknown concept id is a 404, and the next `/relax` after it still
+/// serves.
+#[test]
+fn unknown_concept_relax_is_404_and_the_next_relax_serves() {
+    let (http, q, want, unknown) = unknown_id_fixture(11);
+    let mut stream = connect(&http);
+    let (status, body) = roundtrip(
+        &mut stream,
+        "POST",
+        "/relax",
+        &[],
+        &format!("{{\"concept\":{unknown}}}"),
+    );
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = roundtrip(
+        &mut stream,
+        "POST",
+        "/relax",
+        &[],
+        &format!("{{\"concept\":{},\"k\":5}}", q.raw()),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.ends_with(&format!("\"result\":{want}}}")), "{body}");
+    http.shutdown();
+}
+
+/// One unknown id in a `/batch` gets its own 404 slot; the good slot
+/// still answers, bit-identical to in-process serving.
+#[test]
+fn unknown_concept_in_batch_is_a_404_slot() {
+    let (http, q, want, unknown) = unknown_id_fixture(12);
+    let mut stream = connect(&http);
+    let (status, body) = roundtrip(
+        &mut stream,
+        "POST",
+        "/batch",
+        &[],
+        &format!(
+            "{{\"queries\":[{{\"concept\":{}}},{{\"concept\":{unknown}}}],\"k\":5}}",
+            q.raw()
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"results\":[{\"status\":200,"), "{body}");
+    assert!(
+        body.contains(&format!("\"result\":{want}}}}},{{\"status\":404,")),
+        "{body}"
+    );
+    http.shutdown();
+}
+
+/// `/explain` with an unknown query or candidate id is a 404.
+#[test]
+fn unknown_concept_explain_is_404() {
+    let (http, q, _, unknown) = unknown_id_fixture(13);
+    let mut stream = connect(&http);
+    for (query, candidate) in [(q.raw(), unknown), (unknown, q.raw())] {
+        let (status, body) = roundtrip(
+            &mut stream,
+            "POST",
+            "/explain",
+            &[],
+            &format!("{{\"query\":{query},\"candidate\":{candidate}}}"),
+        );
+        assert_eq!(status, 404, "{body}");
     }
     http.shutdown();
 }

@@ -16,6 +16,13 @@ cargo test -q --test golden_traces --test obs_conformance
 # Lint wall: warnings are errors across every target in the workspace.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The wire benchmark (perfbench/, gated by BENCHMARK.json) is a Cargo
+# workspace of its own that builds against the crates by path. Build it
+# and run its helper tests, so a crate API change that breaks the
+# benchmark fails here instead of in the benchmark run.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Fuzz smoke: one adversarial world per DAG shape through the full
 # differential oracle stack (~seconds). The exhaustive 240-world sweep
 # lives in `cargo test -p medkb-fuzz --test differential` and runs out of

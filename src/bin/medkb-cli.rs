@@ -105,7 +105,8 @@ fn relax(args: &[String]) -> i32 {
             }
             if let Some(top) = res.answers.first() {
                 println!("\nwhy the top answer:");
-                for line in relaxer.explain(res.query_concept, top.concept, Some(ctx)).lines() {
+                let why = relaxer.explain(res.query_concept, top.concept, Some(ctx));
+                for line in why.expect("answers are concepts of the world").lines() {
                     println!("  {line}");
                 }
             }

@@ -18,13 +18,10 @@ mod common;
 use std::fmt::Write as _;
 
 use common::{context_labeled, fixture_config, fixture_relaxer, fixture_path, GOLDEN_QUERIES};
+use medkb::obs::escape;
 use medkb::prelude::*;
 
 const K: usize = 5;
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Render one query's relaxation as a deterministic JSON object. Floats use
 /// `{:?}` (shortest round-trip) so the text pins the exact f64 bits.
@@ -34,10 +31,10 @@ fn trace_query(r: &QueryRelaxer, term: &str, label: Option<&str>) -> String {
     let name = |c: ExtConceptId| escape(r.ingested().ekg.name(c));
     let mut out = String::new();
     out.push_str("    {\n");
-    let _ = writeln!(out, "      \"term\": \"{}\",", escape(term));
+    let _ = writeln!(out, "      \"term\": {},", escape(term));
     match label {
         Some(l) => {
-            let _ = writeln!(out, "      \"context\": \"{}\",", escape(l));
+            let _ = writeln!(out, "      \"context\": {},", escape(l));
         }
         None => out.push_str("      \"context\": null,\n"),
     }
@@ -49,7 +46,7 @@ fn trace_query(r: &QueryRelaxer, term: &str, label: Option<&str>) -> String {
             out.push(',');
         }
         out.push_str("\n        {\n");
-        let _ = writeln!(out, "          \"concept\": \"{}\",", name(a.concept));
+        let _ = writeln!(out, "          \"concept\": {},", name(a.concept));
         let _ = writeln!(out, "          \"score\": {:?},", a.score);
         let _ = writeln!(out, "          \"hops\": {},", a.hops);
         let _ = writeln!(out, "          \"instances\": {},", a.instances.len());
@@ -60,7 +57,7 @@ fn trace_query(r: &QueryRelaxer, term: &str, label: Option<&str>) -> String {
         let _ = writeln!(out, "            \"ic_lcs\": {:?},", ex.ic_lcs);
         let _ = writeln!(out, "            \"freq_query\": {:?},", ex.freq_query);
         let _ = writeln!(out, "            \"freq_candidate\": {:?},", ex.freq_candidate);
-        let lcs: Vec<String> = ex.lcs.iter().map(|&c| format!("\"{}\"", name(c))).collect();
+        let lcs: Vec<String> = ex.lcs.iter().map(|&c| name(c)).collect();
         let _ = writeln!(out, "            \"lcs\": [{}],", lcs.join(", "));
         let _ = writeln!(out, "            \"generalizations\": {},", ex.generalizations);
         let _ = writeln!(out, "            \"specializations\": {},", ex.specializations);
