@@ -720,11 +720,7 @@ impl DeltaEngine {
             let mut shortcuts_added = 0usize;
             if self.config.add_shortcuts {
                 let order: Vec<ExtConceptId> = ekg.topo_children_first().to_vec();
-                let mut flag_table = vec![false; ekg.len()];
-                for &c in &self.out.flagged {
-                    flag_table[Id::as_usize(c)] = true;
-                }
-                for (a, b, dist) in discover_shortcuts(&ekg, &flag_table, &order) {
+                for (a, b, dist) in discover_shortcuts(&ekg, &self.out.flagged, &order) {
                     ekg.add_shortcut_with(a, b, dist, &self.out.reach)
                         .expect("rediscovered shortcut stays valid");
                     shortcuts_added += 1;

@@ -150,6 +150,72 @@ impl InstanceIndex {
     }
 }
 
+/// Flagged external concepts (`FEC`) as a dense bitset over concept ids.
+///
+/// The relaxer's candidate scan and shortcut discovery probe the flag of
+/// every concept they reach (153k per query at 350k concepts), so a probe
+/// is one bit test, not a hash. Every place that assembles an
+/// [`IngestOutput`] (ingest, store open, delta) collects it from the
+/// mapping pairs; it is derived, never serialized. The table ends at its
+/// highest flagged concept, so equality is set equality whatever the size
+/// of the world.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct FlagTable {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl FlagTable {
+    /// Whether `concept` is flagged (`false` for ids past the table).
+    #[inline]
+    pub fn contains(&self, concept: &ExtConceptId) -> bool {
+        let i = concept.as_usize();
+        self.words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Number of flagged concepts.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no concept is flagged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The flagged concepts in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = ExtConceptId> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    ExtConceptId::from_usize(at * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<ExtConceptId> for FlagTable {
+    fn from_iter<I: IntoIterator<Item = ExtConceptId>>(concepts: I) -> Self {
+        let mut table = Self::default();
+        for c in concepts {
+            let i = c.as_usize();
+            if table.words.len() <= i / 64 {
+                table.words.resize(i / 64 + 1, 0);
+            }
+            let bit = 1u64 << (i % 64);
+            if table.words[i / 64] & bit == 0 {
+                table.words[i / 64] |= bit;
+                table.len += 1;
+            }
+        }
+        table
+    }
+}
+
 /// The artifacts Algorithm 1 produces: contexts `C`, frequencies `F`,
 /// mappings `M`, flagged external concepts `FEC` — plus the customized
 /// graph and the indexes the online phase needs.
@@ -169,7 +235,7 @@ pub struct IngestOutput {
     /// Reverse index: external concept → its mapped instances (CSR).
     pub instances_of: InstanceIndex,
     /// Flagged external concepts (`FEC`): those with a KB instance.
-    pub flagged: HashSet<ExtConceptId>,
+    pub flagged: FlagTable,
     /// The mapper, reused online for query terms (Algorithm 2 line 1 uses
     /// "the same mapping function as in Algorithm 1").
     pub mapper: ConceptMapper,
@@ -321,7 +387,7 @@ pub fn ingest_with_stats(
         .expect("mapping scope")
     };
     let pairs: Vec<(InstanceId, ExtConceptId)> = mapped.into_iter().flatten().collect();
-    let flagged: HashSet<ExtConceptId> = pairs.iter().map(|&(_, c)| c).collect();
+    let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
     let instances_of = InstanceIndex::from_run(&pairs);
     let mappings = MappingIndex::from_pairs(pairs);
     stats.mapping_s = t.elapsed().as_secs_f64();
@@ -360,18 +426,12 @@ pub fn ingest_with_stats(
     let mut shortcuts_added = 0usize;
     if config.add_shortcuts {
         let order: Vec<ExtConceptId> = ekg.topo_children_first().to_vec();
-        // Dense flag table: discovery probes the flag of every reached
-        // ancestor, and a direct index beats a hash probe in that loop.
-        let mut flag_table = vec![false; ekg.len()];
-        for &c in &flagged {
-            flag_table[Id::as_usize(c)] = true;
-        }
         let shard = order.len().div_ceil(threads).max(1);
         let discovered: Vec<Vec<(ExtConceptId, ExtConceptId, u32)>> = if threads <= 1 {
-            vec![discover_shortcuts(&ekg, &flag_table, &order)]
+            vec![discover_shortcuts(&ekg, &flagged, &order)]
         } else {
             crossbeam::thread::scope(|s| {
-                let (ekg, flagged) = (&ekg, &flag_table);
+                let (ekg, flagged) = (&ekg, &flagged);
                 let handles: Vec<_> = order
                     .chunks(shard)
                     .map(|chunk| s.spawn(move |_| discover_shortcuts(ekg, flagged, chunk)))
@@ -452,14 +512,14 @@ fn map_shard(
 /// traversal.
 pub(crate) fn discover_shortcuts(
     ekg: &Ekg,
-    flagged: &[bool],
+    flagged: &FlagTable,
     sources: &[ExtConceptId],
 ) -> Vec<(ExtConceptId, ExtConceptId, u32)> {
     let mut scratch = UpwardScratch::new();
     let mut parents: Vec<ExtConceptId> = Vec::new();
     let mut out = Vec::new();
     for &a in sources {
-        let a_flagged = flagged[Id::as_usize(a)];
+        let a_flagged = flagged.contains(&a);
         parents.clear();
         parents.extend(ekg.parents(a).iter().map(|e| e.to));
         // Upward distances double as |shortestPath(A, B)|. Discovery runs
@@ -473,7 +533,7 @@ pub(crate) fn discover_shortcuts(
             if parents.contains(&b)
                 || dist < 2
                 || ekg.depth(b) < SHORTCUT_MIN_ANCESTOR_DEPTH
-                || !(a_flagged || flagged[Id::as_usize(b)])
+                || !(a_flagged || flagged.contains(&b))
             {
                 continue;
             }
@@ -514,7 +574,7 @@ pub fn ingest_reference(
             pairs.push((id, concept));
         }
     }
-    let flagged: HashSet<ExtConceptId> = pairs.iter().map(|&(_, c)| c).collect();
+    let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
     let instances_of = InstanceIndex::from_run(&pairs);
     let mappings = MappingIndex::from_pairs(pairs);
 
@@ -628,12 +688,25 @@ mod tests {
         let out =
             ingest(&world.kb, world.terminology.ekg.clone(), &counts, None, &exact_config())
                 .unwrap();
-        let from_mappings: HashSet<ExtConceptId> =
+        let mut from_mappings: Vec<ExtConceptId> =
             out.mappings.iter().map(|(_, c)| c).collect();
-        assert_eq!(out.flagged, from_mappings);
-        for &c in &out.flagged {
-            assert!(!out.instances(c).is_empty());
+        from_mappings.sort_unstable();
+        from_mappings.dedup();
+        assert_eq!(out.flagged.iter().collect::<Vec<_>>(), from_mappings, "ascending iter");
+        assert_eq!(out.flagged.len(), from_mappings.len());
+        for c in out.ekg.concepts() {
+            assert_eq!(out.flagged.contains(&c), !out.instances(c).is_empty());
         }
+        let end = out.ekg.len();
+        for past in [end, end + 1, end + 64, u32::MAX as usize] {
+            assert!(!out.flagged.contains(&ExtConceptId::from_usize(past)), "{past}");
+        }
+        // Equality is set equality: the same concepts collected in any
+        // order, with duplicates, give an equal table.
+        let reordered: FlagTable =
+            from_mappings.iter().rev().chain(&from_mappings).copied().collect();
+        assert_eq!(reordered, out.flagged);
+        assert!(FlagTable::default().is_empty());
     }
 
     #[test]

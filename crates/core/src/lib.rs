@@ -49,8 +49,8 @@ pub use federate::{
 pub use feedback::{Feedback, FeedbackStore};
 pub use frequency::{FreqParts, Frequencies, RawFrequencies};
 pub use ingest::{
-    ingest, ingest_reference, ingest_with_stats, IngestOutput, IngestStats, InstanceIndex,
-    MappingIndex,
+    ingest, ingest_reference, ingest_with_stats, FlagTable, IngestOutput, IngestStats,
+    InstanceIndex, MappingIndex,
 };
 pub use mapping::{ConceptMapper, MapperParts};
 pub use pipeline::RelaxationPipeline;

@@ -3,7 +3,7 @@
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use medkb_ekg::NeighborhoodScan;
+use medkb_ekg::{Adjacency, NeighborhoodScan};
 use medkb_obs::{Counter, Histogram, Registry};
 use medkb_snomed::ContextTag;
 use medkb_types::{ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result};
@@ -284,6 +284,10 @@ impl Ord for HeapEntry {
 #[derive(Debug, Clone)]
 pub struct QueryRelaxer {
     ingested: IngestOutput,
+    /// The customized graph's CSR adjacency, which candidate gathering
+    /// walks. Built once here; a relaxer's world never changes, so the
+    /// table cannot go stale.
+    adjacency: Adjacency,
     config: RelaxConfig,
     /// Pre-resolved handles when `config.obs.metrics` is set; `None` makes
     /// every record site one never-taken branch (no atomics, no timers).
@@ -294,7 +298,8 @@ impl QueryRelaxer {
     /// Wrap an ingestion output with the runtime configuration.
     pub fn new(ingested: IngestOutput, config: RelaxConfig) -> Self {
         let metrics = config.obs.registry().map(RelaxMetrics::resolve);
-        Self { ingested, config, metrics }
+        let adjacency = Adjacency::build(&ingested.ekg);
+        Self { ingested, adjacency, config, metrics }
     }
 
     /// The ingestion artifacts (read access for integrations).
@@ -395,40 +400,14 @@ impl QueryRelaxer {
         let _span = self.metrics.as_ref().map(|m| m.latency.time());
         let tag: Option<ContextTag> = context.map(|c| self.ingested.tag(c));
 
-        // Candidate gathering (line 2), with dynamic radius growth. The
-        // scan keeps its BFS frontier alive across radius increments, so
-        // growth pays only for each newly reached ring instead of
-        // re-walking the whole neighborhood per radius.
-        let initial_radius = self.config.radius.max(1);
-        let mut radius = initial_radius;
-        let mut scan = NeighborhoodScan::new(&self.ingested.ekg, query);
-        let mut candidates: Vec<(ExtConceptId, u32)> = Vec::new();
-        let mut reachable_instances = 0usize;
-        let mut scanned = 0usize;
-        loop {
-            let processed = scan.discovered().len();
-            scan.expand_to(radius);
-            scanned += scan.discovered().len() - processed;
-            for &(c, h) in &scan.discovered()[processed..] {
-                if self.ingested.flagged.contains(&c) {
-                    reachable_instances += self.ingested.instances(c).len();
-                    candidates.push((c, h));
-                }
-            }
-            if !self.config.dynamic_radius
-                || reachable_instances >= k
-                || radius >= self.config.max_radius
-            {
-                break;
-            }
-            radius += 1;
-        }
+        // Candidate gathering (line 2), with dynamic radius growth.
+        let (candidates, radius, scanned) = self.gather(query, k);
         if let Some(m) = &self.metrics {
             m.queries.inc();
             m.candidates_scanned.add(scanned as u64);
             m.candidates_kept.add(candidates.len() as u64);
             m.candidates_pruned.add((scanned - candidates.len()) as u64);
-            m.radius_growths.add(u64::from(radius - initial_radius));
+            m.radius_growths.add(u64::from(radius - self.config.radius.max(1)));
         }
         if candidates.is_empty() {
             // Nothing to score — skip building the query-scoped tables.
@@ -493,6 +472,56 @@ impl QueryRelaxer {
         }
 
         Ok(RelaxationResult { query_concept: query, radius_used: radius, answers })
+    }
+
+    /// Algorithm 2 line 2 with dynamic radius growth: the flagged concepts
+    /// within the radius that growth settles on for an instance budget of
+    /// `k`, as `(concept, hops)` in discovery order, and that radius. This
+    /// is the candidate list every relaxation of `query` scores.
+    ///
+    /// # Errors
+    /// [`MedKbError::NotFound`] for an id outside the world,
+    /// [`MedKbError::InvalidArgument`] for `k = 0`.
+    pub fn candidates(
+        &self,
+        query: ExtConceptId,
+        k: usize,
+    ) -> Result<(Vec<(ExtConceptId, u32)>, u32)> {
+        if k == 0 {
+            return Err(MedKbError::invalid("k must be positive"));
+        }
+        self.check_concept(query)?;
+        let (candidates, radius, _) = self.gather(query, k);
+        Ok((candidates, radius))
+    }
+
+    /// [`Self::candidates`] for a checked `query`, plus the number of
+    /// concepts scanned. The scan walks the CSR adjacency ring by ring and
+    /// keeps its rings across radius increments, so growth pays only for
+    /// each newly reached ring; the flag check runs inline as each concept
+    /// is discovered.
+    fn gather(&self, query: ExtConceptId, k: usize) -> (Vec<(ExtConceptId, u32)>, u32, usize) {
+        let mut radius = self.config.radius.max(1);
+        let flagged = &self.ingested.flagged;
+        let mut scan = NeighborhoodScan::new(&self.adjacency, query);
+        let mut candidates: Vec<(ExtConceptId, u32)> = Vec::new();
+        let mut reachable_instances = 0usize;
+        loop {
+            scan.expand_with(radius, |c, h| {
+                if flagged.contains(&c) {
+                    reachable_instances += self.ingested.instances(c).len();
+                    candidates.push((c, h));
+                }
+            });
+            if !self.config.dynamic_radius
+                || reachable_instances >= k
+                || radius >= self.config.max_radius
+            {
+                break;
+            }
+            radius += 1;
+        }
+        (candidates, radius, scan.discovered().len())
     }
 
     /// Whether the score-bounded scan may run for this call. The bound

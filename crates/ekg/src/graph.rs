@@ -486,11 +486,31 @@ impl Ekg {
     /// Concepts within `radius` hops of `concept` over the *customized*
     /// graph: every edge — native or shortcut — counts as one hop, which is
     /// exactly why ingestion adds shortcuts (§5.1). Returns `(concept, hops)`
-    /// pairs excluding the start, in BFS order.
+    /// pairs excluding the start, in BFS order (parents before children,
+    /// each in edge-list order).
+    ///
+    /// A one-shot FIFO BFS over the edge lists. The relaxer's hot path uses
+    /// [`NeighborhoodScan`] over an [`Adjacency`] instead; this is the
+    /// oracle that scan is pinned against.
     pub fn neighborhood(&self, concept: ExtConceptId, radius: u32) -> Vec<(ExtConceptId, u32)> {
-        let mut scan = NeighborhoodScan::new(self, concept);
-        scan.expand_to(radius);
-        scan.into_discovered()
+        let mut seen = vec![false; self.len()];
+        seen[concept.as_usize()] = true;
+        let mut frontier = VecDeque::from([(concept, 0u32)]);
+        let mut discovered = Vec::new();
+        while let Some((c, h)) = frontier.pop_front() {
+            if h >= radius {
+                break;
+            }
+            for e in self.up[c].iter().chain(&self.down[c]) {
+                let seen = &mut seen[e.to.as_usize()];
+                if !*seen {
+                    *seen = true;
+                    discovered.push((e.to, h + 1));
+                    frontier.push_back((e.to, h + 1));
+                }
+            }
+        }
+        discovered
     }
 
     /// Add an application-specific shortcut edge `desc → anc` carrying the
@@ -1084,36 +1104,74 @@ impl UpwardScratch {
     }
 }
 
-/// Incremental BFS over the customized graph.
+/// The customized graph's hop adjacency as one contiguous table (CSR):
+/// each concept's parents, then its children, in edge-list order.
 ///
-/// [`Ekg::neighborhood`] answers one radius and throws the frontier away;
+/// [`Ekg`]'s per-concept edge lists stay the storage that ingestion,
+/// delta updates and the Dijkstra/LCS code mutate and read. This table is
+/// the traversal-shaped copy [`NeighborhoodScan`] walks: plain `u32` ids
+/// with no edge weights, one slice per concept instead of two heap
+/// allocations. It is a snapshot of the graph it was built from; edges
+/// added afterwards are not in it.
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    offsets: Vec<u32>,
+    neighbors: Vec<ExtConceptId>,
+}
+
+impl Adjacency {
+    /// Build the table over every edge of `ekg`, native and shortcut.
+    ///
+    /// # Panics
+    /// If the graph has `u32::MAX` or more edge endpoints.
+    pub fn build(ekg: &Ekg) -> Self {
+        let mut offsets = Vec::with_capacity(ekg.len() + 1);
+        offsets.push(0u32);
+        let mut neighbors = Vec::with_capacity(2 * ekg.edge_count());
+        for c in ekg.concepts() {
+            neighbors.extend(ekg.up[c].iter().chain(&ekg.down[c]).map(|e| e.to));
+            offsets.push(u32::try_from(neighbors.len()).expect("adjacency exceeds u32 offsets"));
+        }
+        Self { offsets, neighbors }
+    }
+
+    /// Number of concepts the table covers.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `concept`'s parents, then its children, in edge-list order.
+    pub(crate) fn neighbors(&self, concept: ExtConceptId) -> &[ExtConceptId] {
+        let i = concept.as_usize();
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Incremental ring-by-ring BFS over an [`Adjacency`].
+///
 /// Algorithm 2's dynamic radius growth asks for radius `r`, then `r+1`, …
-/// until enough flagged instances are reachable, which made candidate
-/// gathering quadratic in the final radius. The scan keeps the BFS queue
-/// alive between [`NeighborhoodScan::expand_to`] calls so each increment
-/// pays only for the newly reached ring. Discovery order is identical to
-/// a fresh [`Ekg::neighborhood`] call at the same radius.
+/// until enough flagged instances are reachable. The scan keeps its
+/// discovery list alive between calls, and that list is also its queue:
+/// each ring is expanded from the slice the previous ring appended, so an
+/// increment pays only for the newly reached ring. Discovery order is
+/// identical to a fresh [`Ekg::neighborhood`] call at the same radius.
 #[derive(Debug)]
 pub struct NeighborhoodScan<'a> {
-    ekg: &'a Ekg,
+    adjacency: &'a Adjacency,
     seen: Vec<bool>,
-    frontier: VecDeque<(ExtConceptId, u32)>,
-    discovered: Vec<(ExtConceptId, u32)>,
+    /// Discovery order with the start first; `order[ring..]` is the
+    /// outermost ring (hop == `radius`), the next one to expand.
+    order: Vec<(ExtConceptId, u32)>,
+    ring: usize,
     radius: u32,
 }
 
 impl<'a> NeighborhoodScan<'a> {
     /// A scan rooted at `start`, with nothing expanded yet (radius 0).
-    pub fn new(ekg: &'a Ekg, start: ExtConceptId) -> Self {
-        let mut seen = vec![false; ekg.len()];
+    pub fn new(adjacency: &'a Adjacency, start: ExtConceptId) -> Self {
+        let mut seen = vec![false; adjacency.len()];
         seen[start.as_usize()] = true;
-        Self {
-            ekg,
-            seen,
-            frontier: VecDeque::from([(start, 0u32)]),
-            discovered: Vec::new(),
-            radius: 0,
-        }
+        Self { adjacency, seen, order: vec![(start, 0)], ring: 0, radius: 0 }
     }
 
     /// Largest radius expanded so far.
@@ -1125,32 +1183,38 @@ impl<'a> NeighborhoodScan<'a> {
     /// discovered, returning the full discovery list. No-op when `radius`
     /// does not exceed the current radius.
     pub fn expand_to(&mut self, radius: u32) -> &[(ExtConceptId, u32)] {
-        while let Some(&(c, h)) = self.frontier.front() {
-            if h >= radius {
-                break;
-            }
-            self.frontier.pop_front();
-            for e in self.ekg.parents(c).iter().chain(self.ekg.children(c).iter()) {
-                let i = e.to.as_usize();
-                if !self.seen[i] {
-                    self.seen[i] = true;
-                    self.discovered.push((e.to, h + 1));
-                    self.frontier.push_back((e.to, h + 1));
+        self.expand_with(radius, |_, _| {});
+        self.discovered()
+    }
+
+    /// [`NeighborhoodScan::expand_to`], handing each newly discovered
+    /// concept and its hop count to `visit` as it is discovered, in
+    /// discovery order. The relaxer's flag check runs here, in the same
+    /// pass as the `seen` probe.
+    pub fn expand_with(&mut self, radius: u32, mut visit: impl FnMut(ExtConceptId, u32)) {
+        let adjacency = self.adjacency;
+        while self.radius < radius && self.ring < self.order.len() {
+            let (lo, hi) = (self.ring, self.order.len());
+            let h = self.radius + 1;
+            for at in lo..hi {
+                for &n in adjacency.neighbors(self.order[at].0) {
+                    let seen = &mut self.seen[n.as_usize()];
+                    if !*seen {
+                        *seen = true;
+                        self.order.push((n, h));
+                        visit(n, h);
+                    }
                 }
             }
+            self.ring = hi;
+            self.radius = h;
         }
         self.radius = self.radius.max(radius);
-        &self.discovered
     }
 
     /// Everything discovered so far (start excluded), in BFS order.
     pub fn discovered(&self) -> &[(ExtConceptId, u32)] {
-        &self.discovered
-    }
-
-    /// Consume the scan, keeping the discovery list.
-    pub fn into_discovered(self) -> Vec<(ExtConceptId, u32)> {
-        self.discovered
+        &self.order[1..]
     }
 }
 
@@ -1319,6 +1383,26 @@ mod tests {
         assert_eq!(n2.len(), 3); // c, a, b
         let all = g.neighborhood(d, 10);
         assert_eq!(all.len(), 4); // everything but d itself
+    }
+
+    #[test]
+    fn adjacency_lists_parents_then_children_with_shortcuts() {
+        let mut g = diamond();
+        let d = id_of(&g, "d");
+        g.add_shortcut(d, g.root(), 3).unwrap();
+        let adj = Adjacency::build(&g);
+        assert_eq!(adj.len(), g.len());
+        for c in g.concepts() {
+            let want: Vec<ExtConceptId> =
+                g.parents(c).iter().chain(g.children(c)).map(|e| e.to).collect();
+            assert_eq!(adj.neighbors(c), &want[..], "{c:?}");
+        }
+        // The scan reaches the shortcut's far end in one hop, and a scan
+        // that has run out of graph still reports the radius it was asked.
+        let mut scan = NeighborhoodScan::new(&adj, d);
+        assert!(scan.expand_to(1).contains(&(g.root(), 1)));
+        assert_eq!(scan.expand_to(9), &g.neighborhood(d, 9)[..]);
+        assert_eq!(scan.radius(), 9);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   ([`path`]),
 //! * bounded-radius neighborhood search over the (customized) graph
 //!   (Algorithm 2 line 2), where application-specific shortcut edges added
-//!   by ingestion count as one hop but remember their original distance.
+//!   by ingestion count as one hop but remember their original distance
+//!   ([`NeighborhoodScan`] walks a CSR [`Adjacency`] built from the graph).
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,9 @@ pub mod path;
 pub mod reach;
 pub mod stats;
 
-pub use graph::{Edge, Ekg, EkgBuilder, EkgParts, NeighborhoodScan, UpwardDistances, UpwardScratch};
+pub use graph::{
+    Adjacency, Edge, Ekg, EkgBuilder, EkgParts, NeighborhoodScan, UpwardDistances, UpwardScratch,
+};
 pub use lcs::{lcs_with_upward, lcs_with_upward_scratch, LcsOutcome};
 pub use path::{Direction, PathSummary};
 pub use reach::{DenseReachability, ReachParts, ReachabilityIndex};

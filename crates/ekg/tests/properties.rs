@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 
 use medkb_ekg::lcs::{lcs, lcs_with_upward_scratch};
 use medkb_ekg::path::path_between;
-use medkb_ekg::{Ekg, EkgBuilder, NeighborhoodScan, ReachabilityIndex, UpwardScratch};
+use medkb_ekg::{Adjacency, Ekg, EkgBuilder, NeighborhoodScan, ReachabilityIndex, UpwardScratch};
 use medkb_types::ExtConceptId;
 use proptest::prelude::*;
 
@@ -193,7 +193,8 @@ proptest! {
         // invariant dynamic-radius growth relies on.
         let g = build(&parents);
         let start = g.concepts().last().unwrap();
-        let mut scan = NeighborhoodScan::new(&g, start);
+        let adjacency = Adjacency::build(&g);
+        let mut scan = NeighborhoodScan::new(&adjacency, start);
         for r in 1..=5u32 {
             scan.expand_to(r);
             prop_assert_eq!(scan.radius(), r);

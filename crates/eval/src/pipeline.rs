@@ -232,7 +232,7 @@ mod tests {
         let a = EvalStack::build_cached(EvalConfig::tiny(104), &dir).unwrap();
         // Second build must hit the cache and produce identical embeddings.
         let b = EvalStack::build_cached(EvalConfig::tiny(104), &dir).unwrap();
-        let name = a.world.terminology.ekg.name(a.ingested.flagged.iter().next().copied().unwrap());
+        let name = a.world.terminology.ekg.name(a.ingested.flagged.iter().next().unwrap());
         let (va, vb) = (a.sif_trained.embed(name), b.sif_trained.embed(name));
         match (va, vb) {
             (Some(x), Some(y)) => {

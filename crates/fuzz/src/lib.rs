@@ -28,7 +28,8 @@ pub mod worlds;
 
 pub use deltas::{generate_delta, DeltaKind};
 pub use oracles::{
-    check_bounds, check_delta, check_federate, check_reach_hybrid, check_store_round_trip,
+    check_bounds, check_candidates, check_delta, check_federate, check_reach_hybrid,
+    check_store_round_trip,
     check_world, THREAD_SWEEP,
 };
 pub use worlds::{AdversarialWorld, CorpusShape, DagShape, NameStyle};

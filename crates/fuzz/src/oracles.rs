@@ -9,6 +9,8 @@
 //! * `ingest_with_stats` ≡ `ingest_reference` (mappings, flagged set,
 //!   frequencies, shortcuts, instance index)
 //! * `lcs_with_upward{,_scratch}` ≡ the per-pair `lcs` Dijkstra
+//! * `QueryRelaxer::candidates` (the CSR ring scan) ≡ `Ekg::neighborhood`
+//!   filtered to concepts with instances, through dynamic radius growth
 //! * `relax_concept` / batch sharding ≡ `relax_concept_reference`
 //! * `Gazetteer::scan` ≡ a naïve longest-match reference matcher
 
@@ -233,6 +235,40 @@ pub fn check_bounds(w: &AdversarialWorld, out: &IngestOutput, config: &RelaxConf
                     w.label
                 );
             }
+        }
+    }
+}
+
+/// Pin candidate enumeration (Algorithm 2 line 2): through dynamic radius
+/// growth, the relaxer's candidate list — concepts, hop counts and their
+/// order — and its settled radius equal a fresh edge-list BFS
+/// ([`medkb_ekg::Ekg::neighborhood`]) at each radius, filtered to the
+/// concepts that have instances. The filter reads the instance index, not
+/// the flag table, so the table is checked too. The bounded scan's ring
+/// order and tie handling rest on this order.
+pub fn check_candidates(w: &AdversarialWorld, out: &IngestOutput, config: &RelaxConfig) {
+    let r = QueryRelaxer::new(out.clone(), config.clone());
+    for q in w.query_concepts() {
+        for k in [1usize, 3, 17, usize::MAX] {
+            let (got, radius) = r
+                .candidates(q, k)
+                .unwrap_or_else(|e| panic!("[{}] candidates({q:?}, k={k}): {e}", w.label));
+            let mut want_radius = config.radius.max(1);
+            let want = loop {
+                let within: Vec<(ExtConceptId, u32)> = out
+                    .ekg
+                    .neighborhood(q, want_radius)
+                    .into_iter()
+                    .filter(|&(c, _)| !out.instances(c).is_empty())
+                    .collect();
+                let reachable: usize = within.iter().map(|&(c, _)| out.instances(c).len()).sum();
+                if !config.dynamic_radius || reachable >= k || want_radius >= config.max_radius {
+                    break within;
+                }
+                want_radius += 1;
+            };
+            assert_eq!(radius, want_radius, "[{}] settled radius for {q:?}, k={k}", w.label);
+            assert_eq!(got, want, "[{}] candidate order for {q:?}, k={k}", w.label);
         }
     }
 }
@@ -688,6 +724,7 @@ pub fn check_world(w: &AdversarialWorld) {
     let exact = RelaxConfig { mapping: MappingMethod::Exact, ..RelaxConfig::default() };
     let out = check_ingest(w, &counts, MappingMethod::Exact);
     check_bounds(w, &out, &exact);
+    check_candidates(w, &out, &exact);
     check_store_round_trip(w, &out, &exact);
     check_federate(w, &out, &exact);
     check_relax(w, out, exact);
@@ -730,6 +767,27 @@ mod tests {
             let out = ingest(&w.kb, w.ekg.clone(), &counts, None, &exact)
                 .unwrap_or_else(|e| panic!("[{}] ingest failed: {e}", w.label));
             check_federate(&w, &out, &exact);
+        }
+    }
+
+    /// Candidate enumeration keeps the edge-list BFS order on every graph
+    /// shape, from radius 1 (so dynamic growth runs ring after ring) and
+    /// with growth off. [`check_world`] runs the default config.
+    #[test]
+    fn smoke_candidates_keep_discovery_order() {
+        for seed in [0u64, 1, 2, 3, 4, 36, 57, 78] {
+            let w = AdversarialWorld::generate(seed);
+            let counts = MentionCounts::count(&w.corpus, &w.ekg);
+            let exact =
+                RelaxConfig { mapping: MappingMethod::Exact, ..RelaxConfig::default() };
+            let out = ingest(&w.kb, w.ekg.clone(), &counts, None, &exact)
+                .unwrap_or_else(|e| panic!("[{}] ingest failed: {e}", w.label));
+            for config in [
+                RelaxConfig { radius: 1, ..exact.clone() },
+                RelaxConfig { radius: 2, dynamic_radius: false, ..exact.clone() },
+            ] {
+                check_candidates(&w, &out, &config);
+            }
         }
     }
 

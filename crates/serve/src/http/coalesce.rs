@@ -8,6 +8,12 @@
 //! [`RelaxServer::serve_concepts_batch_with_deadline`] — so N concurrent
 //! users pay one sharded batch instead of N independent serves.
 //!
+//! If a panic under a dispatch kills the dispatcher, an unwind guard
+//! fills every still-empty slot of its batch, and of the queue, with
+//! [`MedKbError::Overloaded`] and closes the queue, so the batch's callers
+//! get an error instead of parking forever and every later
+//! [`Coalescer::submit`] fails fast the same way.
+//!
 //! Deadline semantics (pinned by tests):
 //! * a member already past its deadline **at dispatch** is shed without
 //!   entering the batch;
@@ -18,7 +24,8 @@
 //!   recomputing on retry.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,19 +71,25 @@ impl CoalesceMetrics {
     }
 }
 
-/// One caller's parking spot: filled exactly once by the dispatcher.
+/// One caller's parking spot: filled by the dispatcher or, if the
+/// dispatcher dies, by its unwind guard. The first fill wins.
 struct Slot {
     result: Mutex<Option<Result<ServeResult>>>,
+    filled: AtomicBool,
     cv: Condvar,
 }
 
 impl Slot {
     fn new() -> Self {
-        Self { result: Mutex::new(None), cv: Condvar::new() }
+        Self { result: Mutex::new(None), filled: AtomicBool::new(false), cv: Condvar::new() }
     }
 
     fn fill(&self, value: Result<ServeResult>) {
-        let mut guard = self.result.lock().expect("slot poisoned");
+        if self.filled.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Also runs during an unwind, where a second panic would abort.
+        let mut guard = self.result.lock().unwrap_or_else(PoisonError::into_inner);
         *guard = Some(value);
         self.cv.notify_all();
     }
@@ -107,8 +120,13 @@ struct Shared {
 
 struct Queue {
     pending: Vec<Pending>,
-    shutdown: bool,
+    /// Why submissions are refused (shutdown, or a dead dispatcher);
+    /// `None` while serving.
+    closed: Option<&'static str>,
 }
+
+const SHUTTING_DOWN: &str = "server shutting down";
+const DISPATCHER_STOPPED: &str = "coalesce dispatcher stopped";
 
 /// The coalescer: owns the dispatcher thread; dropped on server shutdown
 /// (drains remaining members with [`MedKbError::Overloaded`]).
@@ -126,7 +144,7 @@ impl Coalescer {
         registry: Option<&Registry>,
     ) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue { pending: Vec::new(), shutdown: false }),
+            queue: Mutex::new(Queue { pending: Vec::new(), closed: None }),
             cv: Condvar::new(),
         });
         let metrics = registry.map(CoalesceMetrics::resolve);
@@ -153,8 +171,8 @@ impl Coalescer {
         let slot = Arc::new(Slot::new());
         {
             let mut queue = self.shared.queue.lock().expect("coalesce queue poisoned");
-            if queue.shutdown {
-                return Err(MedKbError::overloaded("server shutting down"));
+            if let Some(why) = queue.closed {
+                return Err(MedKbError::overloaded(why));
             }
             queue.pending.push(Pending {
                 query,
@@ -173,9 +191,10 @@ impl Drop for Coalescer {
     fn drop(&mut self) {
         {
             let mut queue = self.shared.queue.lock().expect("coalesce queue poisoned");
-            queue.shutdown = true;
+            queue.closed.get_or_insert(SHUTTING_DOWN);
             self.shared.cv.notify_all();
         }
+        // A dispatcher that died of a panic has already failed its callers.
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
@@ -184,7 +203,7 @@ impl Drop for Coalescer {
         // waiter parked on an unfillable slot.
         let mut queue = self.shared.queue.lock().expect("coalesce queue poisoned");
         for p in queue.pending.drain(..) {
-            p.slot.fill(Err(MedKbError::overloaded("server shutting down")));
+            p.slot.fill(Err(MedKbError::overloaded(SHUTTING_DOWN)));
         }
     }
 }
@@ -199,17 +218,17 @@ fn dispatch_loop(
         let drained = {
             let mut queue = shared.queue.lock().expect("coalesce queue poisoned");
             // Sleep until there is work (or shutdown).
-            while queue.pending.is_empty() && !queue.shutdown {
+            while queue.pending.is_empty() && queue.closed.is_none() {
                 queue = shared.cv.wait(queue).expect("coalesce queue poisoned");
             }
-            if queue.pending.is_empty() && queue.shutdown {
+            if queue.pending.is_empty() && queue.closed.is_some() {
                 return;
             }
             // Hold the door open for the window so concurrent arrivals
             // join this batch; wake early when the batch fills or the
             // server is shutting down.
             let window_ends = Instant::now() + config.window;
-            while queue.pending.len() < config.max_batch && !queue.shutdown {
+            while queue.pending.len() < config.max_batch && queue.closed.is_none() {
                 let now = Instant::now();
                 if now >= window_ends {
                     break;
@@ -222,7 +241,34 @@ fn dispatch_loop(
             }
             std::mem::take(&mut queue.pending)
         };
+        let slots = drained.iter().map(|p| Arc::clone(&p.slot)).collect();
+        let _unwind = UnwindGuard { shared, slots };
         serve_batch(server, drained, metrics);
+    }
+}
+
+/// Held across one dispatch. If [`serve_batch`] unwinds, it closes the
+/// queue, then fills every slot of the batch and of the queue with
+/// [`MedKbError::Overloaded`] (slots the batch already filled keep their
+/// answer), so no caller parks on a dispatcher that is gone.
+struct UnwindGuard<'a> {
+    shared: &'a Shared,
+    slots: Vec<Arc<Slot>>,
+}
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let queued = {
+            let mut queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.closed.get_or_insert(DISPATCHER_STOPPED);
+            std::mem::take(&mut queue.pending)
+        };
+        for slot in self.slots.iter().chain(queued.iter().map(|p| &p.slot)) {
+            slot.fill(Err(MedKbError::overloaded(DISPATCHER_STOPPED)));
+        }
     }
 }
 

@@ -4,12 +4,14 @@
 //!
 //! The holder is deliberately simple: the current snapshot lives behind a
 //! `Mutex<Arc<Snapshot>>` that is locked only long enough to clone or
-//! replace the `Arc` — a few nanoseconds, never across a relaxation or an
-//! ingest. Readers therefore hold a plain `Arc<Snapshot>` and keep working
-//! against their epoch for as long as they like; the old epoch's memory is
-//! reclaimed by the last `Arc` drop, wherever that happens. A retirement
-//! counter (wired by the server's observability) makes that reclamation
-//! observable: it increments exactly when the last reader lets go.
+//! replace the `Arc` — a few nanoseconds, never across a relaxation, an
+//! ingest or a world's destructor. Readers therefore hold a plain
+//! `Arc<Snapshot>` and keep working against their epoch for as long as
+//! they like; the old epoch's memory is reclaimed by the last `Arc` drop,
+//! wherever that happens — on the publisher, after the lock is released,
+//! when no reader holds it. A retirement counter (wired by the server's
+//! observability) makes that reclamation observable: it increments
+//! exactly when the last holder lets go.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,6 +103,14 @@ impl SnapshotStore {
         Self { current: Mutex::new(snap), next_epoch: AtomicU64::new(1), config, retired }
     }
 
+    /// Install `snap` as the current snapshot and hand back the one it
+    /// displaced. The lock is released before this returns, so dropping
+    /// the result — possibly the last reference to a whole world — never
+    /// runs inside the critical section.
+    fn swap(&self, snap: Arc<Snapshot>) -> Arc<Snapshot> {
+        std::mem::replace(&mut *self.current.lock().expect("snapshot store poisoned"), snap)
+    }
+
     /// The current snapshot. Readers hold the returned `Arc` for the whole
     /// request; a concurrent [`SnapshotStore::publish`] never invalidates
     /// it — it only stops *new* loads from seeing it.
@@ -111,9 +121,10 @@ impl SnapshotStore {
     /// Publish a re-ingested world as the next epoch and return its number.
     ///
     /// All heavy work (building the relaxer over the new artifacts) happens
-    /// before the lock is taken; the critical section is a single pointer
-    /// swap. The displaced epoch survives exactly as long as its slowest
-    /// in-flight reader.
+    /// before the lock is taken, and freeing the displaced world after it
+    /// is released; the critical section is a single pointer swap. The
+    /// displaced epoch survives exactly as long as its slowest in-flight
+    /// reader, and with none it is freed here, on the publisher.
     pub fn publish(&self, ingested: IngestOutput) -> u64 {
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
         let snap = Arc::new(Snapshot {
@@ -122,7 +133,7 @@ impl SnapshotStore {
             relaxer: QueryRelaxer::new(ingested, self.config.clone()),
             retired: self.retired.clone(),
         });
-        *self.current.lock().expect("snapshot store poisoned") = snap;
+        drop(self.swap(snap));
         epoch
     }
 
@@ -157,5 +168,61 @@ impl SnapshotStore {
 impl fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapshotStore").field("epoch", &self.epoch()).finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use medkb_core::{ingest, MappingMethod};
+    use medkb_corpus::{CorpusConfig, CorpusGenerator, MentionCounts};
+    use medkb_obs::Registry;
+    use medkb_snomed::{MedWorld, WorldConfig};
+
+    /// Dropping the displaced world happens on the caller, off the lock:
+    /// `swap` returns with `current` unlocked and the caller holding the
+    /// old snapshot's only reference, so the destructor of a whole world
+    /// can never stall a reader's `load()`.
+    #[test]
+    fn swap_hands_the_retired_world_back_unlocked() {
+        let world = MedWorld::generate(&WorldConfig::tiny(71));
+        let corpus = CorpusGenerator::new(&world.terminology, &world.oracle)
+            .generate(&CorpusConfig::tiny(72));
+        let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
+        let config = RelaxConfig { mapping: MappingMethod::Exact, ..RelaxConfig::default() };
+        let out = ingest(&world.kb, world.terminology.ekg, &counts, None, &config).unwrap();
+        let registry = Registry::shared();
+        let retired = registry.counter("retired");
+        let store = SnapshotStore::with_retired_counter(
+            out.clone(),
+            config.clone(),
+            Some(Arc::clone(&retired)),
+        );
+        let next = Arc::new(Snapshot {
+            epoch: store.next_epoch.fetch_add(1, Ordering::Relaxed),
+            fingerprint: config.result_fingerprint(),
+            relaxer: QueryRelaxer::new(out.clone(), config),
+            retired: Some(Arc::clone(&retired)),
+        });
+
+        let old = store.swap(next);
+        assert!(store.current.try_lock().is_ok(), "swap returned with the lock held");
+        assert_eq!(old.epoch(), 0);
+        assert_eq!(Arc::strong_count(&old), 1, "the caller holds the only reference");
+        assert_eq!(retired.get(), 0);
+        drop(old);
+        assert_eq!(retired.get(), 1, "freed on the caller");
+        assert_eq!(store.load().epoch(), 1);
+
+        // publish goes through the same swap: with no reader, the displaced
+        // epoch is retired by the time publish returns; a reader's pin
+        // outlives it.
+        assert_eq!(store.publish(out.clone()), 2);
+        assert_eq!(retired.get(), 2);
+        let reader = store.load();
+        assert_eq!(store.publish(out), 3);
+        assert_eq!(retired.get(), 2);
+        drop(reader);
+        assert_eq!(retired.get(), 3);
     }
 }

@@ -568,3 +568,38 @@ fn unknown_concept_explain_is_404() {
     }
     http.shutdown();
 }
+
+/// A panic under the coalescer's dispatcher fails the request it was
+/// serving and every later `/relax` fast, with a 429, instead of leaving
+/// them parked on slots nobody fills. The panic comes from a published
+/// world whose reachability index belongs to a one-concept world, so the
+/// bounded scan's first ancestry probe indexes out of range.
+#[test]
+fn dispatcher_panic_fails_its_callers_instead_of_stranding_them() {
+    let config = exact_config();
+    let (w, out) = world(14, 1, &config);
+    let mut lone = medkb_ekg::EkgBuilder::new();
+    lone.concept("root");
+    let mut broken = out.clone();
+    broken.reach = medkb_ekg::ReachabilityIndex::build(&lone.build().unwrap());
+    let server = Arc::new(RelaxServer::new(out, config, ServeConfig::default()));
+    let http = HttpServer::start(Arc::clone(&server), None, HttpConfig::default()).unwrap();
+    server.publish(broken);
+
+    let mut stream = connect(&http);
+    for q in w.query_concepts().into_iter().take(3) {
+        let (status, body) = roundtrip(
+            &mut stream,
+            "POST",
+            "/relax",
+            &[],
+            &format!("{{\"concept\":{},\"k\":1}}", q.raw()),
+        );
+        assert_eq!(status, 429, "{body}");
+        assert!(body.contains("coalesce dispatcher stopped"), "{body}");
+    }
+    // The rest of the front end is unaffected.
+    let (status, body) = roundtrip(&mut stream, "GET", "/health", &[], "");
+    assert_eq!(status, 200, "{body}");
+    http.shutdown();
+}

@@ -24,12 +24,11 @@
 //! [`MedKbError::Validation`] with a defect naming the failing section —
 //! never a panic.
 
-use std::collections::HashSet;
 use std::path::Path;
 
 use medkb_core::{
-    ConceptMapper, FreqParts, Frequencies, IngestOutput, InstanceIndex, MapperParts, MappingIndex,
-    MappingMethod,
+    ConceptMapper, FlagTable, FreqParts, Frequencies, IngestOutput, InstanceIndex, MapperParts,
+    MappingIndex, MappingMethod,
 };
 use medkb_ekg::{Edge, Ekg, EkgParts, ReachParts, ReachabilityIndex};
 use medkb_embed::{SifParts, WordVectorParts};
@@ -131,7 +130,7 @@ impl WorldStore {
         let reach = ReachabilityIndex::from_parts(dec_reach(sections[5], ekg.len())?);
         let mapper = ConceptMapper::from_parts(&ekg, dec_mapper(sections[6])?)?;
         let shortcuts_added = dec_meta(sections[7], ekg.len(), contexts.len())?;
-        let flagged: HashSet<ExtConceptId> = pairs.iter().map(|&(_, c)| c).collect();
+        let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
         let mappings = MappingIndex::from_pairs(pairs);
         Ok(IngestOutput {
             ekg,

@@ -51,7 +51,7 @@ fn round_trip_is_bit_identical_with_embedding_mapper() {
     let reopened = WorldStore::open_bytes(&WorldStore::save_bytes(&out)).unwrap();
     assert_same_world(&out, &reopened);
     // The reopened mapper answers online queries identically.
-    let name = out.ekg.name(*out.flagged.iter().min().unwrap());
+    let name = out.ekg.name(out.flagged.iter().next().unwrap());
     assert_eq!(out.mapper.map(&out.ekg, name), reopened.mapper.map(&reopened.ekg, name));
 }
 

@@ -61,7 +61,7 @@ fn main() -> Result<()> {
         out.freqs.freq(root, ContextTag::Treatment),
         out.freqs.ic(root, Some(ContextTag::Treatment))
     );
-    let sample = out.flagged.iter().next().copied().expect("flagged concept exists");
+    let sample = out.flagged.iter().next().expect("flagged concept exists");
     println!(
         "sample flagged concept {:?}: freq(Treatment) = {:.2e}, freq(Risk) = {:.2e}, \
          intrinsic IC = {:.3}",

@@ -9,6 +9,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# `cargo test -q` covers the root package only. These crates hold the
+# candidate-scan proptest (NeighborhoodScan ≡ Ekg::neighborhood), the
+# optimized ≡ reference relax tests, and the snapshot, coalescer and
+# socket-level HTTP tests.
+cargo test -q -p medkb-ekg -p medkb-core -p medkb-serve
+
 # The conformance suites are part of the root test run above, but name them
 # explicitly so a filtered/partial invocation can't silently skip them.
 cargo test -q --test golden_traces --test obs_conformance

@@ -130,7 +130,7 @@ fn sample_terms(stack: &EvalStack) -> Vec<String> {
         .flagged
         .iter()
         .take(4)
-        .map(|&c| stack.ingested.ekg.name(c).to_string())
+        .map(|c| stack.ingested.ekg.name(c).to_string())
         .collect()
 }
 

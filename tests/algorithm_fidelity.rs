@@ -53,7 +53,8 @@ fn algorithm1_fec_is_exactly_the_mapped_concepts() {
     let out = f.ingest();
     // Lines 5–11: FEC = { A : some instance maps to A }.
     let mapped: HashSet<_> = out.mappings.iter().map(|(_, c)| c).collect();
-    assert_eq!(out.flagged, mapped);
+    assert_eq!(out.flagged.iter().collect::<HashSet<_>>(), mapped);
+    assert_eq!(out.flagged.len(), mapped.len());
     // Reverse index is consistent.
     for (inst, concept) in out.mappings.iter() {
         assert!(out.instances(concept).contains(&inst));
@@ -122,7 +123,7 @@ fn algorithm2_results_are_flagged_within_radius_sorted() {
     let relaxer = QueryRelaxer::new(out, f.config.clone());
     let ctx = f.world.treatment_context();
     let queries: Vec<ExtConceptId> =
-        relaxer.ingested().flagged.iter().copied().take(12).collect();
+        relaxer.ingested().flagged.iter().take(12).collect();
     for q in queries {
         let res = relaxer.relax_concept(q, Some(ctx), 10).expect("relax");
         let reachable: HashSet<ExtConceptId> = relaxer
@@ -149,7 +150,7 @@ fn algorithm2_k_bounds_and_dynamic_radius() {
     let f = Fixture::new(206);
     let out = f.ingest();
     let relaxer = QueryRelaxer::new(out, f.config.clone());
-    let q = *relaxer.ingested().flagged.iter().next().unwrap();
+    let q = relaxer.ingested().flagged.iter().next().unwrap();
     let small = relaxer.relax_concept(q, None, 2).unwrap();
     let large = relaxer.relax_concept(q, None, 20).unwrap();
     assert!(small.instances().len() <= large.instances().len());
@@ -168,7 +169,7 @@ fn relaxation_is_deterministic() {
     let relaxer = QueryRelaxer::new(f.ingest(), f.config.clone());
     let relaxer2 = QueryRelaxer::new(f.ingest(), f.config.clone());
     let ctx = f.world.risk_context();
-    for q in relaxer.ingested().flagged.iter().copied().take(8) {
+    for q in relaxer.ingested().flagged.iter().take(8) {
         let a = relaxer.relax_concept(q, Some(ctx), 10).unwrap();
         let b = relaxer2.relax_concept(q, Some(ctx), 10).unwrap();
         assert_eq!(a, b);
@@ -189,7 +190,7 @@ fn ablation_flags_change_rankings() {
     let ctx = f.world.treatment_context();
     let mut any_diff_path = false;
     let mut any_diff_wgen = false;
-    for q in out.flagged.iter().copied().take(20) {
+    for q in out.flagged.iter().take(20) {
         let a = base.relax_concept(q, Some(ctx), 10).unwrap().concepts();
         let b = no_path.relax_concept(q, Some(ctx), 10).unwrap().concepts();
         let c = heavy_gen.relax_concept(q, Some(ctx), 10).unwrap().concepts();

@@ -98,7 +98,7 @@ fn go_edit_mapping_handles_go_style_typos() {
         .ingested()
         .flagged
         .iter()
-        .map(|&c| relaxer.ingested().ekg.name(c).to_string())
+        .map(|c| relaxer.ingested().ekg.name(c).to_string())
         .find(|n| n.len() > 10)
         .expect("a long term name");
     let mut typoed = sample.clone();
