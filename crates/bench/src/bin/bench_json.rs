@@ -43,17 +43,6 @@
 //! cargo run --release -p medkb-bench --bin bench_json -- --delta
 //! ```
 //!
-//! `--http` benchmarks the std-only HTTP/1.1 front end over real sockets:
-//! a multi-connection load generator drives the zipf query stream through
-//! keep-alive connections, asserts wire answers bit-identical to
-//! in-process `serve_concepts_batch`, coalescing active, and the token
-//! bucket rejecting a greedy client, and writes `BENCH_http.json` with
-//! sustained QPS + p50/p99/p999 wire latency:
-//!
-//! ```text
-//! cargo run --release -p medkb-bench --bin bench_json -- --http
-//! ```
-//!
 //! `--federated` benchmarks multi-source federated relaxation (DESIGN.md
 //! §17): a two-source registry (the SNOMED-like world plus the GO-like
 //! stub) over one shared KB, timing the single-source baseline, the
@@ -265,7 +254,7 @@ fn run_ingest_bench(quick: bool, scale: usize) {
     assert!(validate_json(&metrics_json), "metrics snapshot must be valid JSON");
     eprintln!("[bench_json] metrics snapshot OK ({} stage timers)", snap.histograms.len());
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = medkb_types::par::cores();
     let json = format!(
         "{{\n  \"reference_end_to_end_s\": {reference_median:.4},\n  \
          \"threads\": [\n{clamped_rows}\n  ],\n  \
@@ -513,275 +502,6 @@ fn run_serve_bench(quick: bool, scale: usize) {
     } else {
         let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
         std::fs::write(out, &json).expect("write BENCH_serve.json");
-        eprintln!("[bench_json] wrote {out}");
-    }
-    println!("{json}");
-}
-
-/// Minimal blocking HTTP client for the load generator: send one request
-/// on an existing keep-alive stream, read one Content-Length-framed
-/// response, return `(status, body)`.
-fn http_roundtrip(
-    stream: &mut std::net::TcpStream,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-) -> (u16, String) {
-    use std::io::{Read, Write};
-    let mut req = format!("{method} {path} HTTP/1.1\r\n");
-    for (n, v) in headers {
-        req.push_str(&format!("{n}: {v}\r\n"));
-    }
-    req.push_str(&format!("content-length: {}\r\n\r\n{body}", body.len()));
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 8192];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response");
-        assert!(n > 0, "server closed mid-response");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..header_end]).expect("header UTF-8");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("content-length");
-    while buf.len() < header_end + content_length {
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "server closed mid-body");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    (status, String::from_utf8(buf[header_end..header_end + content_length].to_vec()).unwrap())
-}
-
-/// HTTP front-end benchmark (`--http`): a multi-connection load generator
-/// drives the zipf query stream over real sockets against the std-only
-/// HTTP/1.1 server (ROADMAP item 2), recording sustained QPS and
-/// p50/p99/p999 wire latency into `BENCH_http.json`. Along the way it
-/// asserts the acceptance criteria in-run: over-the-wire answers
-/// bit-identical to in-process `serve_concepts_batch` at the same epoch,
-/// cross-connection coalescing measurably active, and a greedy client
-/// rate-limited while a polite one is untouched.
-fn run_http_bench(quick: bool, scale: usize) {
-    use medkb_serve::http::{
-        obs_names as hn, render_relaxation, CoalesceConfig, HttpConfig, RateLimitConfig,
-    };
-    use medkb_serve::{HttpServer, RelaxServer, ServeConfig};
-    use std::net::TcpStream;
-    use std::time::Duration;
-
-    let radius = 4u32;
-    let k = 10usize;
-    let connections = 8usize;
-    let total_requests = if quick { 400 } else { 8000 };
-
-    eprintln!("[bench_json] building {scale}-concept benchmark world…");
-    let t_build = Instant::now();
-    let RelaxBenchWorld { relaxer, queries, context } = scaled_relaxation_bench_world(scale, true);
-    eprintln!("[bench_json] world built + ingested in {:.1}s", t_build.elapsed().as_secs_f64());
-    let mut cfg = relaxer.config().clone();
-    cfg.radius = radius;
-    cfg.dynamic_radius = false;
-
-    let registry = Registry::shared();
-    let cfg_obs = RelaxConfig { obs: ObsConfig::with_registry(Arc::clone(&registry)), ..cfg };
-    let server = Arc::new(RelaxServer::new(
-        relaxer.ingested().clone(),
-        cfg_obs,
-        ServeConfig::default(),
-    ));
-    let http = HttpServer::start(
-        Arc::clone(&server),
-        Some(Arc::clone(&registry)),
-        HttpConfig {
-            coalesce: Some(CoalesceConfig {
-                window: Duration::from_millis(1),
-                max_batch: 64,
-            }),
-            ..HttpConfig::default()
-        },
-    )
-    .expect("bind http server");
-    let addr = http.addr();
-    let connect = || {
-        let s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        s
-    };
-
-    // Wire bit-identity (acceptance criterion): the same query set through
-    // in-process `serve_concepts_batch` and over the wire, same epoch,
-    // compared through the shared renderer — scores byte for byte.
-    let batch: Vec<(ExtConceptId, Option<medkb_types::ContextId>)> =
-        queries.iter().map(|&q| (q, Some(context))).collect();
-    let in_process = server.serve_concepts_batch(&batch, k);
-    let mut stream = connect();
-    for (&q, served) in queries.iter().zip(&in_process) {
-        let want = render_relaxation(&served.as_ref().expect("in-process serve").result);
-        let (status, body) = http_roundtrip(
-            &mut stream,
-            "POST",
-            "/relax",
-            &[],
-            &format!("{{\"concept\":{},\"context\":{},\"k\":{k}}}", q.raw(), context.raw()),
-        );
-        assert_eq!(status, 200, "{body}");
-        assert!(
-            body.ends_with(&format!("\"result\":{want}}}")),
-            "wire answer diverged from in-process serve_concepts_batch for {q:?}"
-        );
-    }
-    drop(stream);
-    eprintln!(
-        "[bench_json] wire bit-identity verified for {} queries at epoch {}",
-        queries.len(),
-        server.epoch()
-    );
-
-    // Load phase: `connections` keep-alive connections, each draining its
-    // slice of one zipf(1.07) stream as fast as the server answers.
-    let zipf = medkb_bench::zipf_query_stream(&queries, total_requests, 1.07, 0xC0FE);
-    let per_conn = zipf.len().div_ceil(connections);
-    let t_load = Instant::now();
-    let mut latencies_us: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = zipf
-            .chunks(per_conn)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut stream = connect();
-                    let mut us = Vec::with_capacity(slice.len());
-                    for &q in slice {
-                        let body = format!(
-                            "{{\"concept\":{},\"context\":{},\"k\":{k}}}",
-                            q.raw(),
-                            context.raw()
-                        );
-                        let t = Instant::now();
-                        let (status, resp) =
-                            http_roundtrip(&mut stream, "POST", "/relax", &[], &body);
-                        us.push(t.elapsed().as_secs_f64() * 1e6);
-                        assert_eq!(status, 200, "{resp}");
-                    }
-                    us
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("load connection")).collect()
-    });
-    let load_s = t_load.elapsed().as_secs_f64();
-    let qps = zipf.len() as f64 / load_s;
-    let p50 = percentile(&mut latencies_us, 50.0);
-    let p99 = percentile(&mut latencies_us, 99.0);
-    let p999 = percentile(&mut latencies_us, 99.9);
-    eprintln!(
-        "[bench_json] {} requests over {connections} connections in {load_s:.2}s: \
-         {qps:.0} qps, p50 {p50:.1}µs, p99 {p99:.1}µs, p999 {p999:.1}µs",
-        zipf.len()
-    );
-
-    let snap = registry.snapshot();
-    let coalesced_batches = snap.counter(hn::COALESCE_BATCHES);
-    let coalesce_joined = snap.counter(hn::COALESCE_JOINED);
-    let shed = snap.counter(hn::RESPONSES_SHED);
-    let requests = snap.counter(hn::REQUESTS);
-    assert!(
-        coalesced_batches > 0,
-        "acceptance criterion: {connections} concurrent connections must coalesce \
-         (0 multi-member batches over {requests} requests)"
-    );
-    let hit_ratio = snap.counter_ratio(
-        medkb_serve::obs_names::CACHE_HITS,
-        medkb_serve::obs_names::CACHE_MISSES,
-    );
-    http.shutdown();
-
-    // Traffic shaping (acceptance criterion): a fresh front end with a
-    // tight bucket over the same RelaxServer — the greedy client blows
-    // through its burst and sees 429s; a polite client with its own
-    // identity is untouched.
-    let shaped_registry = Registry::shared();
-    let shaped = HttpServer::start(
-        Arc::clone(&server),
-        Some(Arc::clone(&shaped_registry)),
-        HttpConfig {
-            rate_limit: RateLimitConfig { rate_per_sec: 0.001, burst: 4.0 },
-            ..HttpConfig::default()
-        },
-    )
-    .expect("bind shaped http server");
-    let shaped_addr = shaped.addr();
-    let mut greedy = TcpStream::connect(shaped_addr).expect("connect greedy");
-    greedy.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let probe_body = format!("{{\"concept\":{},\"k\":{k}}}", queries[0].raw());
-    let mut greedy_429 = 0u64;
-    for _ in 0..16 {
-        let (status, _) = http_roundtrip(
-            &mut greedy,
-            "POST",
-            "/relax",
-            &[("x-medkb-client", "greedy")],
-            &probe_body,
-        );
-        if status == 429 {
-            greedy_429 += 1;
-        }
-    }
-    let mut polite = TcpStream::connect(shaped_addr).expect("connect polite");
-    polite.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut polite_429 = 0u64;
-    for _ in 0..3 {
-        let (status, _) = http_roundtrip(
-            &mut polite,
-            "POST",
-            "/relax",
-            &[("x-medkb-client", "polite")],
-            &probe_body,
-        );
-        if status == 429 {
-            polite_429 += 1;
-        }
-    }
-    assert!(greedy_429 >= 8, "greedy client must be rate limited (saw {greedy_429} 429s)");
-    assert_eq!(polite_429, 0, "polite client must be unaffected by the greedy one");
-    let rate_limited =
-        shaped_registry.snapshot().counter(hn::RESPONSES_RATE_LIMITED);
-    assert_eq!(rate_limited, greedy_429, "429s must come from the token bucket");
-    eprintln!(
-        "[bench_json] shaping: greedy client {greedy_429}/16 rate-limited, polite 0/3"
-    );
-    shaped.shutdown();
-
-    let metrics_json = snap.to_json();
-    assert!(validate_json(&metrics_json), "metrics snapshot must be valid JSON");
-    let json = format!(
-        "{{\n  \"qps\": {qps:.1},\n  \
-         \"p50_us\": {p50:.2},\n  \"p99_us\": {p99:.2},\n  \"p999_us\": {p999:.2},\n  \
-         \"requests\": {},\n  \"connections\": {connections},\n  \
-         \"load_s\": {load_s:.3},\n  \
-         \"distinct_queries\": {},\n  \"zipf_exponent\": 1.07,\n  \
-         \"coalesced_batches\": {coalesced_batches},\n  \
-         \"coalesce_joined\": {coalesce_joined},\n  \
-         \"shed\": {shed},\n  \
-         \"hit_ratio\": {hit_ratio:.4},\n  \
-         \"rate_limited_429s\": {greedy_429},\n  \"polite_429s\": {polite_429},\n  \
-         \"wire_bit_identical\": true,\n  \
-         \"k\": {k},\n  \"radius\": {radius},\n  \
-         \"world_concepts\": {scale},\n  \
-         \"metrics\": {metrics_json}\n}}\n",
-        zipf.len(),
-        queries.len(),
-    );
-    if quick {
-        eprintln!("[bench_json] --quick: skipping BENCH_http.json write");
-    } else {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_http.json");
-        std::fs::write(out, &json).expect("write BENCH_http.json");
         eprintln!("[bench_json] wrote {out}");
     }
     println!("{json}");
@@ -1535,10 +1255,6 @@ fn main() {
         run_serve_bench(quick, scale);
         return;
     }
-    if std::env::args().any(|a| a == "--http") {
-        run_http_bench(quick, scale);
-        return;
-    }
     if std::env::args().any(|a| a == "--store") {
         run_store_bench(quick, scale);
         return;
@@ -1589,13 +1305,18 @@ fn main() {
     };
     let relaxer_obs = QueryRelaxer::new(relaxer.ingested().clone(), cfg_obs);
 
-    // Warm up both paths once, then interleave full measurement passes.
+    // Warm up every path once. The plain and instrumented engines then
+    // alternate one pass each per repetition, so host speed drift lands on
+    // both sides of `obs_overhead_pct` instead of reading as overhead.
     time_queries(&relaxer, &queries, context, k, 1, true);
     time_queries(&relaxer, &queries, context, k, 1, false);
     time_queries(&relaxer_obs, &queries, context, k, 1, false);
     let mut reference_us = time_queries(&relaxer, &queries, context, k, reps, true);
-    let mut scoped_us = time_queries(&relaxer, &queries, context, k, reps, false);
-    let mut obs_us = time_queries(&relaxer_obs, &queries, context, k, reps, false);
+    let (mut scoped_us, mut obs_us) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        scoped_us.extend(time_queries(&relaxer, &queries, context, k, 1, false));
+        obs_us.extend(time_queries(&relaxer_obs, &queries, context, k, 1, false));
+    }
 
     let t_batch = Instant::now();
     let batch: Vec<(ExtConceptId, Option<medkb_types::ContextId>)> =

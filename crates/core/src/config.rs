@@ -83,9 +83,7 @@ impl ParallelConfig {
     pub fn effective_threads(&self) -> usize {
         let t = self.threads.max(1);
         if self.clamp_to_cores {
-            let cores =
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            t.min(cores)
+            t.min(medkb_types::par::cores())
         } else {
             t
         }

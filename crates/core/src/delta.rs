@@ -663,7 +663,7 @@ impl DeltaEngine {
                 cone.extend(self.ekg.descendants(seed));
             }
             if (cone.len() as f64) >= REACH_REBUILD_THRESHOLD * (n as f64) {
-                self.out.reach = ReachabilityIndex::build_with_threads(&self.ekg, threads);
+                self.out.reach = ReachabilityIndex::build(&self.ekg);
                 if let Some(reg) = self.config.obs.registry() {
                     reg.counter(obs_names::FALLBACK_FULL_REBUILDS).inc();
                 }

@@ -37,7 +37,8 @@
 use std::collections::HashSet;
 
 use medkb_types::{
-    ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result, SourceId, ValidationReport,
+    par, ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result, SourceId,
+    ValidationReport,
 };
 
 use crate::config::RelaxConfig;
@@ -444,32 +445,10 @@ impl FederatedRelaxer {
         k: usize,
         threads: usize,
     ) -> Vec<Result<FederatedResult>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(queries.len());
-        if threads == 1 {
-            return queries.iter().map(|&(t, c)| self.relax(t, c, k)).collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move |_| {
-                        shard
-                            .iter()
-                            .map(|&(t, c)| self.relax(t, c, k))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("federated shard"))
-                .collect()
+        par::shard_map(queries.len(), threads, |i| {
+            let (term, context) = queries[i];
+            self.relax(term, context, k)
         })
-        .expect("federated scope")
     }
 }
 

@@ -17,7 +17,7 @@ use medkb_corpus::MentionCounts;
 use medkb_ekg::{Ekg, ReachabilityIndex};
 use medkb_snomed::oracle::N_TAGS;
 use medkb_snomed::ContextTag;
-use medkb_types::{ExtConceptId, IdVec};
+use medkb_types::{par, ExtConceptId, IdVec};
 
 use crate::config::FrequencyMode;
 
@@ -311,19 +311,12 @@ impl RawFrequencies {
             FrequencyMode::DescendantSet => rollup_descendant_set(ekg, |c| direct(c, tag)),
         };
 
-        // Raw rollups per tag, computed independently (in parallel when
-        // allowed) and then merged in fixed tag order.
-        let raws: Vec<IdVec<ExtConceptId, f64>> = if threads <= 1 {
-            (0..N_TAGS).map(rollup).collect()
-        } else {
-            crossbeam::thread::scope(|s| {
-                let rollup = &rollup;
-                let handles: Vec<_> =
-                    (0..N_TAGS).map(|tag| s.spawn(move |_| rollup(tag))).collect();
-                handles.into_iter().map(|h| h.join().expect("rollup worker")).collect()
-            })
-            .expect("rollup scope")
-        };
+        // Raw rollups per tag, computed independently and kept in tag
+        // order. When parallel, each tag gets its own worker: the rollups
+        // cost about the same, so N_TAGS threads balance better than
+        // uneven multi-tag chunks.
+        let workers = if threads <= 1 { 1 } else { N_TAGS };
+        let raws = par::shard_map(N_TAGS, workers, rollup);
         Self { dense, raws }
     }
 

@@ -18,7 +18,7 @@ use medkb_kb::Kb;
 use medkb_ontology::context::generate_contexts;
 use medkb_ontology::ContextSpec;
 use medkb_snomed::ContextTag;
-use medkb_types::{ContextId, ExtConceptId, Id, InstanceId, Result};
+use medkb_types::{par, ContextId, ExtConceptId, Id, InstanceId, Result};
 
 use crate::config::RelaxConfig;
 use crate::frequency::Frequencies;
@@ -372,20 +372,9 @@ pub fn ingest_with_stats(
     let mapper = ConceptMapper::build(&ekg, config.mapping, sif)?;
     let instances: Vec<(InstanceId, &str)> =
         kb.instances().map(|(id, inst)| (id, &*inst.name)).collect();
-    let shard = instances.len().div_ceil(threads).max(1);
-    let mapped: Vec<Vec<(InstanceId, ExtConceptId)>> = if threads <= 1 {
-        vec![map_shard(&mapper, &ekg, &instances)]
-    } else {
-        crossbeam::thread::scope(|s| {
-            let (mapper, ekg) = (&mapper, &ekg);
-            let handles: Vec<_> = instances
-                .chunks(shard)
-                .map(|chunk| s.spawn(move |_| map_shard(mapper, ekg, chunk)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("mapping worker")).collect()
-        })
-        .expect("mapping scope")
-    };
+    let mapped = par::shard_chunks(instances.len(), threads, |r| {
+        map_shard(&mapper, &ekg, &instances[r])
+    });
     let pairs: Vec<(InstanceId, ExtConceptId)> = mapped.into_iter().flatten().collect();
     let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
     let instances_of = InstanceIndex::from_run(&pairs);
@@ -398,7 +387,7 @@ pub fn ingest_with_stats(
     // shortcuts never change the closure, so building on the native graph
     // up front is equivalent to the reference order.
     let t = Instant::now();
-    let reach = ReachabilityIndex::build_with_threads(&ekg, threads);
+    let reach = ReachabilityIndex::build(&ekg);
     stats.reach_s = t.elapsed().as_secs_f64();
 
     // —— Concept frequencies (lines 12–18) ——
@@ -426,20 +415,9 @@ pub fn ingest_with_stats(
     let mut shortcuts_added = 0usize;
     if config.add_shortcuts {
         let order: Vec<ExtConceptId> = ekg.topo_children_first().to_vec();
-        let shard = order.len().div_ceil(threads).max(1);
-        let discovered: Vec<Vec<(ExtConceptId, ExtConceptId, u32)>> = if threads <= 1 {
-            vec![discover_shortcuts(&ekg, &flagged, &order)]
-        } else {
-            crossbeam::thread::scope(|s| {
-                let (ekg, flagged) = (&ekg, &flagged);
-                let handles: Vec<_> = order
-                    .chunks(shard)
-                    .map(|chunk| s.spawn(move |_| discover_shortcuts(ekg, flagged, chunk)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shortcut worker")).collect()
-            })
-            .expect("shortcut scope")
-        };
+        let discovered = par::shard_chunks(order.len(), threads, |r| {
+            discover_shortcuts(&ekg, &flagged, &order[r])
+        });
         for (a, b, dist) in discovered.into_iter().flatten() {
             ekg.add_shortcut_with(a, b, dist, &reach)?;
             shortcuts_added += 1;

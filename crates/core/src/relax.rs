@@ -6,7 +6,7 @@ use std::sync::Arc;
 use medkb_ekg::{Adjacency, NeighborhoodScan};
 use medkb_obs::{Counter, Histogram, Registry};
 use medkb_snomed::ContextTag;
-use medkb_types::{ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result};
+use medkb_types::{par, ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result};
 
 use crate::config::RelaxConfig;
 use crate::ingest::IngestOutput;
@@ -760,8 +760,7 @@ impl QueryRelaxer {
         queries: &[(&str, Option<ContextId>)],
         k: usize,
     ) -> Vec<Result<RelaxationResult>> {
-        let threads = Self::default_threads(queries.len());
-        self.shard_queries(queries, threads, |&(term, ctx)| self.relax(term, ctx, k))
+        self.shard_queries(queries, par::cores(), |&(term, ctx)| self.relax(term, ctx, k))
     }
 
     /// [`QueryRelaxer::relax_batch`] over already-resolved query concepts.
@@ -770,8 +769,7 @@ impl QueryRelaxer {
         queries: &[(ExtConceptId, Option<ContextId>)],
         k: usize,
     ) -> Vec<Result<RelaxationResult>> {
-        let threads = Self::default_threads(queries.len());
-        self.relax_concepts_batch_with_threads(queries, k, threads)
+        self.relax_concepts_batch_with_threads(queries, k, par::cores())
     }
 
     /// [`QueryRelaxer::relax_concepts_batch`] with an explicit thread
@@ -785,14 +783,9 @@ impl QueryRelaxer {
         self.shard_queries(queries, threads, |&(q, ctx)| self.relax_concept(q, ctx, k))
     }
 
-    fn default_threads(n: usize) -> usize {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n.max(1))
-    }
-
-    /// Split `queries` into `threads` contiguous chunks, run `f` over each
-    /// chunk on its own scoped thread, and reassemble results in input
-    /// order. Determinism note: each query is processed independently, so
-    /// chunking never changes any individual result.
+    /// Run `f` over `queries` through the workspace fork/join
+    /// ([`par::shard_map`]), results in input order. Each query is
+    /// processed independently, so chunking never changes any result.
     fn shard_queries<Q: Sync, T: Send>(
         &self,
         queries: &[Q],
@@ -802,9 +795,8 @@ impl QueryRelaxer {
         if queries.is_empty() {
             return Vec::new();
         }
-        let threads = threads.max(1).min(queries.len());
-        let chunk = queries.len().div_ceil(threads);
         if let Some(m) = &self.metrics {
+            let chunk = par::chunk_len(queries.len(), threads);
             m.batch_calls.inc();
             m.batch_queries.add(queries.len() as u64);
             m.batch_shards.add(queries.len().div_ceil(chunk) as u64);
@@ -812,23 +804,7 @@ impl QueryRelaxer {
                 m.batch_shard_size.record(shard.len() as u64);
             }
         }
-        if threads == 1 {
-            return queries.iter().map(&f).collect();
-        }
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|shard| {
-                    let f = &f;
-                    scope.spawn(move |_| shard.iter().map(f).collect::<Vec<T>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("relaxation shard"))
-                .collect()
-        })
-        .expect("relaxation scope")
+        par::shard_map(queries.len(), threads, |i| f(&queries[i]))
     }
 
     /// Render a human-readable explanation of why `candidate` scores as it

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use medkb_ekg::Ekg;
 use medkb_snomed::oracle::N_TAGS;
 use medkb_text::tokenize;
-use medkb_types::{ExtConceptId, StringInterner, TokenId};
+use medkb_types::{par, ExtConceptId, StringInterner, TokenId};
 
 use crate::model::Corpus;
 
@@ -89,28 +89,14 @@ impl MentionCounts {
         if threads <= 1 || corpus.docs.len() < 2 {
             return Self::count(corpus, ekg);
         }
-        // One worker's partial result: (per-tag direct counts, doc counts).
-        type Partial = (HashMap<ExtConceptId, [u64; N_TAGS]>, HashMap<ExtConceptId, u32>);
         let trie = TokenTrie::build(ekg, &corpus.vocab);
-        let shard = corpus.docs.len().div_ceil(threads).max(1);
-        let partials: Vec<Partial> =
-            crossbeam::thread::scope(|s| {
-                let trie = &trie;
-                let handles: Vec<_> = corpus
-                    .docs
-                    .chunks(shard)
-                    .map(|docs| {
-                        s.spawn(move |_| {
-                            let mut direct = HashMap::new();
-                            let mut doc_freq = HashMap::new();
-                            count_docs(trie, docs, &mut direct, &mut doc_freq);
-                            (direct, doc_freq)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("count worker")).collect()
-            })
-            .expect("count scope");
+        // Each worker counts its chunk into private partial tables.
+        let partials = par::shard_chunks(corpus.docs.len(), threads, |r| {
+            let mut direct = HashMap::new();
+            let mut doc_freq = HashMap::new();
+            count_docs(&trie, &corpus.docs[r], &mut direct, &mut doc_freq);
+            (direct, doc_freq)
+        });
         let mut direct: HashMap<ExtConceptId, [u64; N_TAGS]> = HashMap::new();
         let mut doc_freq: HashMap<ExtConceptId, u32> = HashMap::new();
         for (part_direct, part_df) in partials {

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use medkb_snomed::{ContextTag, GeneratedTerminology, Hierarchy, Oracle, SnomedConfig};
 use medkb_text::tokenize;
-use medkb_types::ExtConceptId;
+use medkb_types::{par, ExtConceptId};
 
 use crate::model::{Corpus, Document, Sentence};
 
@@ -344,41 +344,11 @@ impl LatentNeighbors {
         if findings.len() > KNN_BRUTE_MAX {
             return Self::build_graph_pruned(term, findings, k);
         }
-        let threads =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16);
-        let chunk = findings.len().div_ceil(threads.max(1)).max(1);
-        let shards: Vec<Vec<(ExtConceptId, Vec<ExtConceptId>)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = findings
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move |_| {
-                            part.iter()
-                                .map(|&a| {
-                                    let mut dists: Vec<(f64, ExtConceptId)> = findings
-                                        .iter()
-                                        .filter(|&&b| b != a)
-                                        .map(|&b| (term.latent_distance(a, b), b))
-                                        .collect();
-                                    dists.sort_by(|x, y| {
-                                        x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
-                                    });
-                                    let top: Vec<ExtConceptId> =
-                                        dists.into_iter().take(k).map(|(_, b)| b).collect();
-                                    (a, top)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("knn shard")).collect()
-            })
-            .expect("knn scope");
-        let mut index = std::collections::HashMap::with_capacity(findings.len());
-        for shard in shards {
-            index.extend(shard);
-        }
-        Self { index }
+        let rows = par::shard_map(findings.len(), par::cores().min(16), |i| {
+            let a = findings[i];
+            (a, nearest(term, a, findings.iter().copied().filter(|&b| b != a), k))
+        });
+        Self { index: rows.into_iter().collect() }
     }
 
     /// Graph-pruned kNN for SNOMED-scale worlds: exact latent distances over
@@ -391,70 +361,44 @@ impl LatentNeighbors {
         const CANDIDATE_CAP: usize = 512;
         let in_findings: std::collections::HashSet<ExtConceptId> =
             findings.iter().copied().collect();
-        let threads =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16);
-        let chunk = findings.len().div_ceil(threads.max(1)).max(1);
-        let shards: Vec<Vec<(ExtConceptId, Vec<ExtConceptId>)>> =
-            crossbeam::thread::scope(|scope| {
-                let (ekg, in_findings) = (&term.ekg, &in_findings);
-                let handles: Vec<_> = findings
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move |_| {
-                            let mut seen = std::collections::HashSet::new();
-                            part.iter()
-                                .map(|&a| {
-                                    seen.clear();
-                                    seen.insert(a);
-                                    let mut cand: Vec<ExtConceptId> = Vec::new();
-                                    let push = |seen: &mut std::collections::HashSet<
-                                        ExtConceptId,
-                                    >,
-                                                    cand: &mut Vec<ExtConceptId>,
-                                                    c: ExtConceptId| {
-                                        if cand.len() < CANDIDATE_CAP
-                                            && in_findings.contains(&c)
-                                            && seen.insert(c)
-                                        {
-                                            cand.push(c);
-                                        }
-                                    };
-                                    for p in ekg.native_parents(a) {
-                                        push(&mut seen, &mut cand, p);
-                                        for s in ekg.native_children(p) {
-                                            push(&mut seen, &mut cand, s);
-                                        }
-                                        for gp in ekg.native_parents(p) {
-                                            push(&mut seen, &mut cand, gp);
-                                            for u in ekg.native_children(gp) {
-                                                push(&mut seen, &mut cand, u);
-                                            }
-                                        }
-                                    }
-                                    for c in ekg.native_children(a) {
-                                        push(&mut seen, &mut cand, c);
-                                        for gc in ekg.native_children(c) {
-                                            push(&mut seen, &mut cand, gc);
-                                        }
-                                    }
-                                    let mut dists: Vec<(f64, ExtConceptId)> = cand
-                                        .into_iter()
-                                        .map(|b| (term.latent_distance(a, b), b))
-                                        .collect();
-                                    dists.sort_by(|x, y| {
-                                        x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
-                                    });
-                                    let top: Vec<ExtConceptId> =
-                                        dists.into_iter().take(k).map(|(_, b)| b).collect();
-                                    (a, top)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("knn shard")).collect()
-            })
-            .expect("knn scope");
+        let ekg = &term.ekg;
+        let shards = par::shard_chunks(findings.len(), par::cores().min(16), |r| {
+            // One `seen` set per worker, cleared per finding.
+            let mut seen = std::collections::HashSet::new();
+            findings[r]
+                .iter()
+                .map(|&a| {
+                    seen.clear();
+                    seen.insert(a);
+                    let mut cand: Vec<ExtConceptId> = Vec::new();
+                    let mut push = |c: ExtConceptId| {
+                        if cand.len() < CANDIDATE_CAP && in_findings.contains(&c) && seen.insert(c)
+                        {
+                            cand.push(c);
+                        }
+                    };
+                    for p in ekg.native_parents(a) {
+                        push(p);
+                        for s in ekg.native_children(p) {
+                            push(s);
+                        }
+                        for gp in ekg.native_parents(p) {
+                            push(gp);
+                            for u in ekg.native_children(gp) {
+                                push(u);
+                            }
+                        }
+                    }
+                    for c in ekg.native_children(a) {
+                        push(c);
+                        for gc in ekg.native_children(c) {
+                            push(gc);
+                        }
+                    }
+                    (a, nearest(term, a, cand.into_iter(), k))
+                })
+                .collect::<Vec<_>>()
+        });
         let mut index = std::collections::HashMap::with_capacity(findings.len());
         for shard in shards {
             index.extend(shard);
@@ -470,6 +414,19 @@ impl LatentNeighbors {
             _ => of,
         }
     }
+}
+
+/// The `k` of `candidates` nearest `a` in latent space, ties broken by id.
+fn nearest(
+    term: &GeneratedTerminology,
+    a: ExtConceptId,
+    candidates: impl Iterator<Item = ExtConceptId>,
+    k: usize,
+) -> Vec<ExtConceptId> {
+    let mut dists: Vec<(f64, ExtConceptId)> =
+        candidates.map(|b| (term.latent_distance(a, b), b)).collect();
+    dists.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+    dists.into_iter().take(k).map(|(_, b)| b).collect()
 }
 
 /// Cumulative-weight sampling table with binary search.

@@ -286,14 +286,6 @@ impl ReachabilityIndex {
         Self { n, tin, tout, tree_depth, exc, pool }
     }
 
-    /// Parallel-API twin of [`ReachabilityIndex::build`]. The hybrid build
-    /// is near-linear (one DFS plus one parents-first merge pass), so
-    /// sharding it buys nothing; this delegates to the sequential build,
-    /// keeping the output trivially thread-count independent.
-    pub fn build_with_threads(ekg: &Ekg, _threads: usize) -> Self {
-        Self::build(ekg)
-    }
-
     /// Whether `anc` is a strict ancestor of `desc`.
     #[inline]
     pub fn is_ancestor(&self, anc: ExtConceptId, desc: ExtConceptId) -> bool {
@@ -592,17 +584,6 @@ mod tests {
         for anc in g.concepts() {
             for desc in g.concepts() {
                 assert_eq!(before.is_ancestor(anc, desc), after.is_ancestor(anc, desc));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        for g in [diamond(), wide_random()] {
-            let seq = ReachabilityIndex::build(&g);
-            for threads in [1, 2, 4, 8] {
-                let par = ReachabilityIndex::build_with_threads(&g, threads);
-                assert_eq!(par, seq, "threads={threads}");
             }
         }
     }

@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use medkb_corpus::Corpus;
+use medkb_types::par::shard_map;
 use medkb_types::{Id, IdVec, StringInterner, TokenId};
 
 /// Metric names the SGNS trainer records (DESIGN.md §10).
@@ -693,28 +694,6 @@ fn apply_ops(
             w_out[oi + d] += op.g * sin[d];
         }
     }
-}
-
-/// Map `f` over `0..len` across `threads` contiguous shards, concatenating
-/// the per-shard results in index order — identical to the sequential map
-/// whenever `f` is pure per index.
-fn shard_map<T: Send, F: Fn(usize) -> T + Sync>(len: usize, threads: usize, f: F) -> Vec<T> {
-    if threads <= 1 || len < 2 {
-        return (0..len).map(f).collect();
-    }
-    let shard = len.div_ceil(threads).max(1);
-    let bounds: Vec<(usize, usize)> =
-        (0..len).step_by(shard).map(|lo| (lo, (lo + shard).min(len))).collect();
-    let parts: Vec<Vec<T>> = crossbeam::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| s.spawn(move |_| (lo..hi).map(f).collect::<Vec<T>>()))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sgns worker")).collect()
-    })
-    .expect("sgns scope");
-    parts.into_iter().flatten().collect()
 }
 
 /// Unigram^0.75 negative sampling table.

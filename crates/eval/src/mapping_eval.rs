@@ -7,6 +7,7 @@
 //! instance anywhere costs precision, exactly as an SME would judge it.
 
 use medkb_core::MappingMethod;
+use medkb_types::par;
 
 use crate::metrics::Prf;
 use crate::pipeline::EvalStack;
@@ -64,46 +65,24 @@ pub fn evaluate_mappings_with(
         .iter()
         .filter(|&&i| stack.world.origins[i].concept.is_some())
         .count();
-    // The ingestions are independent; run them on their own threads.
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = methods
-            .iter()
-            .copied()
-            .map(|(label, method)| {
-                let evaluated = &evaluated;
-                scope.spawn(move |_| {
-                    let out = stack.ingest_with(method).expect("ingestion succeeds");
-                    let mut correct = 0usize;
-                    let mut produced = 0usize;
-                    for &inst in evaluated {
-                        let Some(concept) = out.mappings.get(inst) else { continue };
-                        produced += 1;
-                        if stack.world.origins[inst].concept == Some(concept) {
-                            correct += 1;
-                        }
-                    }
-                    let precision = if produced == 0 {
-                        0.0
-                    } else {
-                        100.0 * correct as f64 / produced as f64
-                    };
-                    let recall = if mappable == 0 {
-                        0.0
-                    } else {
-                        100.0 * correct as f64 / mappable as f64
-                    };
-                    MappingRow {
-                        method: label,
-                        prf: Prf::new(precision, recall),
-                        produced,
-                        mappable,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("mapping shard")).collect()
+    // The ingestions are independent; each runs on its own thread.
+    par::shard_map(methods.len(), methods.len(), |i| {
+        let (label, method) = methods[i];
+        let out = stack.ingest_with(method).expect("ingestion succeeds");
+        let mut correct = 0usize;
+        let mut produced = 0usize;
+        for &inst in &evaluated {
+            let Some(concept) = out.mappings.get(inst) else { continue };
+            produced += 1;
+            if stack.world.origins[inst].concept == Some(concept) {
+                correct += 1;
+            }
+        }
+        let precision =
+            if produced == 0 { 0.0 } else { 100.0 * correct as f64 / produced as f64 };
+        let recall = if mappable == 0 { 0.0 } else { 100.0 * correct as f64 / mappable as f64 };
+        MappingRow { method: label, prf: Prf::new(precision, recall), produced, mappable }
     })
-    .expect("mapping scope")
 }
 
 /// Precision/recall of the EMBEDDING mapper as its acceptance threshold

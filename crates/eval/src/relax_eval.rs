@@ -21,7 +21,7 @@ use medkb_core::baselines::{ConceptRanker, EmbeddingRanker};
 use medkb_serve::{RelaxServer, ServeConfig};
 use medkb_snomed::oracle::DEFAULT_RELEVANCE_THRESHOLD;
 use medkb_snomed::{ContextTag, Hierarchy, Oracle};
-use medkb_types::{ContextId, ExtConceptId};
+use medkb_types::{par, ContextId, ExtConceptId};
 
 use crate::metrics::{mean, Prf};
 use crate::pipeline::EvalStack;
@@ -154,31 +154,19 @@ pub fn evaluate_relaxation_on(
         );
     }
     // The embedding baselines keep one thread per model.
-    let embedding_runs: Vec<Vec<Vec<ExtConceptId>>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = [stack.sif_pretrained.clone(), stack.sif_trained.clone()]
-            .into_iter()
-            .map(|model| {
-                scope.spawn(move |_| {
-                    let ranker = EmbeddingRanker::new(&stack.ingested.ekg, model);
-                    workload
-                        .queries
-                        .iter()
-                        .map(|&(q, _, _)| {
-                            let pool: Vec<ExtConceptId> = workload
-                                .universe
-                                .iter()
-                                .filter(|&&c| c != q)
-                                .copied()
-                                .collect();
-                            ranker.rank(q, &pool).into_iter().take(k).map(|(c, _)| c).collect()
-                        })
-                        .collect::<Vec<_>>()
-                })
+    let models = [&stack.sif_pretrained, &stack.sif_trained];
+    let embedding_runs = par::shard_map(models.len(), models.len(), |m| {
+        let ranker = EmbeddingRanker::new(&stack.ingested.ekg, models[m].clone());
+        workload
+            .queries
+            .iter()
+            .map(|&(q, _, _)| {
+                let pool: Vec<ExtConceptId> =
+                    workload.universe.iter().filter(|&&c| c != q).copied().collect();
+                ranker.rank(q, &pool).into_iter().take(k).map(|(c, _)| c).collect()
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("method shard")).collect()
-    })
-    .expect("method scope");
+            .collect::<Vec<Vec<ExtConceptId>>>()
+    });
     runs.extend(embedding_runs);
 
     pool_and_score(stack, workload, threshold, &labels, &runs, k)

@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use medkb_obs::{Counter, Histogram, Registry};
-use medkb_types::{ContextId, ExtConceptId, MedKbError, Result};
+use medkb_types::{par, ContextId, ExtConceptId, MedKbError, Result};
 
 use crate::http::obs_names;
 use crate::{RelaxServer, ServeResult};
@@ -126,7 +126,7 @@ struct Queue {
 }
 
 const SHUTTING_DOWN: &str = "server shutting down";
-const DISPATCHER_STOPPED: &str = "coalesce dispatcher stopped";
+pub(crate) const DISPATCHER_STOPPED: &str = "coalesce dispatcher stopped";
 
 /// The coalescer: owns the dispatcher thread; dropped on server shutdown
 /// (drains remaining members with [`MedKbError::Overloaded`]).
@@ -184,6 +184,14 @@ impl Coalescer {
             self.shared.cv.notify_all();
         }
         slot.wait()
+    }
+
+    /// Whether a panic under a dispatch has stopped the dispatcher, so
+    /// every [`Coalescer::submit`] now fails with
+    /// [`MedKbError::Overloaded`].
+    pub fn stopped(&self) -> bool {
+        let queue = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.closed == Some(DISPATCHER_STOPPED)
     }
 }
 
@@ -307,12 +315,8 @@ fn serve_batch(server: &RelaxServer, drained: Vec<Pending>, metrics: Option<&Coa
             .flatten();
         let queries: Vec<(ExtConceptId, Option<ContextId>)> =
             members.iter().map(|p| (p.query, p.context)).collect();
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(queries.len());
         let results =
-            server.serve_concepts_batch_with_deadline(&queries, k, threads, batch_deadline);
+            server.serve_concepts_batch_with_deadline(&queries, k, par::cores(), batch_deadline);
         debug_assert_eq!(results.len(), members.len());
         for (p, r) in members.into_iter().zip(results) {
             p.slot.fill(r);

@@ -5,10 +5,9 @@
 //! one without leaving the standard library (vendor policy: no registry
 //! access, so no tokio/hyper):
 //!
-//! * **acceptors** — one thread per core parked in `accept()` on clones
-//!   of a shared [`TcpListener`]; each accepted connection gets its own
-//!   handler thread (connections are long-lived and keep-alive by
-//!   default, so per-connection threads amortize well);
+//! * **acceptor** — one thread parked in `accept()`; each accepted
+//!   connection gets its own handler thread (connections are long-lived
+//!   and keep-alive by default, so per-connection threads amortize well);
 //! * **parser** ([`RequestParser`]) — incremental, robust to split reads
 //!   and pipelining, with hard header/body limits;
 //! * **router** ([`Router`]) — JSON endpoints `relax`, `batch`,
@@ -83,15 +82,18 @@ pub mod obs_names {
     pub const DEADLINE_PROPAGATED: &str = "http.deadline.propagated";
 }
 
+/// `k` used when a request omits it.
+const DEFAULT_K: usize = 10;
+
+/// Socket read timeout — the cadence at which idle keep-alive connections
+/// notice server shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// Front-end configuration.
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
     /// Bind address; port 0 picks an ephemeral port (tests, tier1 smoke).
     pub addr: String,
-    /// Acceptor threads; 0 means one per core.
-    pub acceptors: usize,
-    /// `k` used when a request omits it.
-    pub default_k: usize,
     /// Per-client token bucket; `rate_per_sec == 0` disables limiting
     /// (negative or non-finite values are rejected by [`HttpServer::start`]).
     pub rate_limit: RateLimitConfig,
@@ -99,39 +101,33 @@ pub struct HttpConfig {
     pub coalesce: Option<CoalesceConfig>,
     /// Parser limits (header/body size caps).
     pub parse_limits: ParseLimits,
-    /// Socket read timeout — the cadence at which idle keep-alive
-    /// connections notice server shutdown.
-    pub read_timeout: Duration,
 }
 
 impl Default for HttpConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            acceptors: 0,
-            default_k: 10,
             rate_limit: RateLimitConfig::default(),
             coalesce: Some(CoalesceConfig::default()),
             parse_limits: ParseLimits::default(),
-            read_timeout: Duration::from_millis(100),
         }
     }
 }
 
 /// The running front end. Dropping it (or calling
-/// [`HttpServer::shutdown`]) stops the acceptors; handler threads drain
+/// [`HttpServer::shutdown`]) stops the acceptor; handler threads drain
 /// as their connections close or hit the read-timeout shutdown check.
 pub struct HttpServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptors: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl HttpServer {
     /// Bind and start serving `server` per `config`.
     ///
     /// # Errors
-    /// Propagates bind/clone failures from the listener socket, and
+    /// Propagates bind failures from the listener socket, and
     /// rejects a degenerate [`RateLimitConfig`] (negative/non-finite
     /// rate, non-positive burst) before any socket is touched.
     pub fn start(
@@ -153,48 +149,22 @@ impl HttpServer {
         let coalescer = config
             .coalesce
             .map(|c| Coalescer::start(Arc::clone(&server), c, registry.as_deref()));
-        let router = Arc::new(Router::new(
-            server,
-            registry.clone(),
-            limiter,
-            coalescer,
-            config.default_k,
-        ));
+        let router = Arc::new(Router::new(server, registry.clone(), limiter, coalescer, DEFAULT_K));
         let stop = Arc::new(AtomicBool::new(false));
-        let n_acceptors = if config.acceptors == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            config.acceptors
-        };
         let connections = registry.as_deref().map(|r| r.counter(obs_names::CONNECTIONS));
         let parse_errors = registry.as_deref().map(|r| r.counter(obs_names::PARSE_ERRORS));
-        let mut acceptors = Vec::with_capacity(n_acceptors);
-        for i in 0..n_acceptors {
-            let listener = listener.try_clone()?;
-            let router = Arc::clone(&router);
+        let acceptor = {
             let stop = Arc::clone(&stop);
-            let connections = connections.clone();
-            let parse_errors = parse_errors.clone();
             let limits = config.parse_limits;
-            let read_timeout = config.read_timeout;
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name(format!("medkb-http-accept-{i}"))
-                    .spawn(move || {
-                        accept_loop(
-                            &listener,
-                            &router,
-                            &stop,
-                            limits,
-                            read_timeout,
-                            connections.as_deref(),
-                            parse_errors,
-                        );
-                    })
-                    .expect("spawn http acceptor"),
-            );
-        }
-        Ok(Self { local_addr, stop, acceptors })
+            std::thread::Builder::new()
+                .name("medkb-http-accept".into())
+                .spawn(move || {
+                    let connections = connections.as_deref();
+                    accept_loop(&listener, &router, &stop, limits, connections, parse_errors);
+                })
+                .expect("spawn http acceptor")
+        };
+        Ok(Self { local_addr, stop, acceptor: Some(acceptor) })
     }
 
     /// The bound address (read the ephemeral port from here).
@@ -202,29 +172,25 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Stop accepting and join the acceptor threads.
+    /// Stop accepting and join the acceptor thread.
     pub fn shutdown(mut self) {
-        self.stop_acceptors();
+        self.stop_acceptor();
     }
 
-    fn stop_acceptors(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Acceptors are parked in blocking `accept()`; poke each one
-        // awake with a throwaway connection so they observe the flag.
-        for _ in 0..self.acceptors.len() {
+    fn stop_acceptor(&mut self) {
+        if let Some(acceptor) = self.acceptor.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            // The acceptor is parked in a blocking `accept()`; poke it
+            // awake with a throwaway connection so it observes the flag.
             let _ = TcpStream::connect(self.local_addr);
-        }
-        for h in self.acceptors.drain(..) {
-            let _ = h.join();
+            let _ = acceptor.join();
         }
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop_acceptors();
+        self.stop_acceptor();
     }
 }
 
@@ -233,7 +199,6 @@ fn accept_loop(
     router: &Arc<Router>,
     stop: &Arc<AtomicBool>,
     limits: ParseLimits,
-    read_timeout: Duration,
     connections: Option<&medkb_obs::Counter>,
     parse_errors: Option<Arc<medkb_obs::Counter>>,
 ) {
@@ -266,7 +231,6 @@ fn accept_loop(
                 &router,
                 &stop,
                 limits,
-                read_timeout,
                 parse_errors.as_deref(),
             );
         });
@@ -279,11 +243,10 @@ fn handle_connection(
     router: &Router,
     stop: &AtomicBool,
     limits: ParseLimits,
-    read_timeout: Duration,
     parse_errors: Option<&medkb_obs::Counter>,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let peer_ip = peer.ip().to_string();
     let mut parser = RequestParser::new(limits);
     let mut buf = [0u8; 16 * 1024];

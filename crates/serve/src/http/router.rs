@@ -16,6 +16,9 @@
 //! | `GET /health`  | —                                           | liveness + epoch |
 //! | `GET /metrics` | —                                           | registry snapshot |
 //!
+//! `/health` answers 503 once the coalesce dispatcher has stopped, since
+//! every coalesced `/relax` then fails.
+//!
 //! Error statuses follow the server's error taxonomy: `NotFound` → 404,
 //! `Overloaded` (shed/deadline/rate limit) → 429, invalid input → 400,
 //! anything else → 500. The deadline header `x-medkb-deadline-ms` turns
@@ -26,9 +29,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use medkb_obs::{escape, Counter, Histogram, Json, Registry};
-use medkb_types::{ContextId, ExtConceptId, MedKbError};
+use medkb_types::{par, ContextId, ExtConceptId, MedKbError};
 
-use crate::http::coalesce::Coalescer;
+use crate::http::coalesce::{Coalescer, DISPATCHER_STOPPED};
 use crate::http::parser::Request;
 use crate::http::shaping::RateLimiter;
 use crate::http::obs_names;
@@ -97,6 +100,7 @@ pub fn status_text(status: u16) -> &'static str {
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
+        503 => "Service Unavailable",
         _ => "Response",
     }
 }
@@ -199,10 +203,14 @@ impl Router {
             },
         };
         match (req.method.as_str(), req.path()) {
-            ("GET", "/health") => Response::ok(format!(
-                "{{\"status\":\"ok\",\"epoch\":{}}}",
-                self.server.epoch()
-            )),
+            ("GET", "/health") => {
+                let (status, state) = match &self.coalescer {
+                    Some(c) if c.stopped() => (503, DISPATCHER_STOPPED),
+                    _ => (200, "ok"),
+                };
+                let body = format!("{{\"status\":\"{state}\",\"epoch\":{}}}", self.server.epoch());
+                Response { status, body }
+            }
             ("GET", "/metrics") => match &self.registry {
                 Some(r) => Response::ok(r.snapshot().to_json()),
                 None => Response::error(404, "no metrics registry attached"),
@@ -306,12 +314,8 @@ impl Router {
             };
             queries.push((ExtConceptId::new(raw as u32), context));
         }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(queries.len().max(1));
         let results =
-            self.server.serve_concepts_batch_with_deadline(&queries, k, threads, deadline);
+            self.server.serve_concepts_batch_with_deadline(&queries, k, par::cores(), deadline);
         let rows: Vec<String> = results
             .iter()
             .map(|r| match r {
@@ -491,7 +495,7 @@ mod tests {
 
     #[test]
     fn status_texts_cover_emitted_codes() {
-        for s in [200, 400, 404, 405, 413, 429, 431, 500, 501] {
+        for s in [200, 400, 404, 405, 413, 429, 431, 500, 501, 503] {
             assert_ne!(status_text(s), "Response", "{s} needs a phrase");
         }
     }

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use medkb_core::{IngestOutput, RelaxConfig, RelaxationResult};
 use medkb_obs::{Counter, Gauge, Histogram, Registry};
-use medkb_types::{ContextId, ExtConceptId, MedKbError, Result};
+use medkb_types::{par, ContextId, ExtConceptId, MedKbError, Result};
 
 use crate::cache::{CacheKey, Lookup, QueryKey, ResultCache};
 use crate::obs_names;
@@ -321,11 +321,7 @@ impl RelaxServer {
         queries: &[(ExtConceptId, Option<ContextId>)],
         k: usize,
     ) -> Vec<Result<ServeResult>> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(queries.len().max(1));
-        self.serve_concepts_batch_with_threads(queries, k, threads)
+        self.serve_concepts_batch_with_threads(queries, k, par::cores())
     }
 
     /// [`RelaxServer::serve_concepts_batch`] with an explicit thread count.
@@ -351,32 +347,9 @@ impl RelaxServer {
         threads: usize,
         deadline: Option<Instant>,
     ) -> Vec<Result<ServeResult>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(queries.len());
-        if threads == 1 {
-            return queries
-                .iter()
-                .map(|&(q, ctx)| self.serve_concept_with_deadline(q, ctx, k, deadline))
-                .collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&(q, ctx)| {
-                                self.serve_concept_with_deadline(q, ctx, k, deadline)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("serve shard")).collect()
+        par::shard_map(queries.len(), threads, |i| {
+            let (q, ctx) = queries[i];
+            self.serve_concept_with_deadline(q, ctx, k, deadline)
         })
     }
 

@@ -14,7 +14,7 @@ use medkb_core::{ingest, IngestOutput, MappingMethod, ObsConfig, QueryRelaxer, R
 use medkb_corpus::MentionCounts;
 use medkb_fuzz::AdversarialWorld;
 use medkb_obs::Registry;
-use medkb_serve::http::{CoalesceConfig, HttpConfig, ParseLimits, RateLimitConfig};
+use medkb_serve::http::{obs_names, CoalesceConfig, HttpConfig, ParseLimits, RateLimitConfig};
 use medkb_serve::{HttpServer, RelaxServer, ServeConfig};
 use medkb_snomed::oracle::N_TAGS;
 use medkb_store::WorldStore;
@@ -280,9 +280,10 @@ fn rate_limited_client_sees_429_while_others_serve() {
     let config = exact_config();
     let (w, out) = world(6, 1, &config);
     let server = Arc::new(RelaxServer::new(out, config, ServeConfig::default()));
+    let registry = Registry::shared();
     let http = HttpServer::start(
         server,
-        None,
+        Some(Arc::clone(&registry)),
         HttpConfig {
             rate_limit: RateLimitConfig { rate_per_sec: 0.001, burst: 2.0 },
             ..HttpConfig::default()
@@ -308,6 +309,9 @@ fn rate_limited_client_sees_429_while_others_serve() {
     let (status, polite_body) =
         roundtrip(&mut polite, "POST", "/relax", &[("x-medkb-client", "polite")], &body);
     assert_eq!(status, 200, "{polite_body}");
+    // The token bucket's counter saw exactly the greedy client's 429s.
+    let rate_limited = registry.snapshot().counter(obs_names::RESPONSES_RATE_LIMITED);
+    assert_eq!(rate_limited, seen_429);
     http.shutdown();
 }
 
@@ -587,6 +591,9 @@ fn dispatcher_panic_fails_its_callers_instead_of_stranding_them() {
     server.publish(broken);
 
     let mut stream = connect(&http);
+    let (status, body) = roundtrip(&mut stream, "GET", "/health", &[], "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
     for q in w.query_concepts().into_iter().take(3) {
         let (status, body) = roundtrip(
             &mut stream,
@@ -598,8 +605,9 @@ fn dispatcher_panic_fails_its_callers_instead_of_stranding_them() {
         assert_eq!(status, 429, "{body}");
         assert!(body.contains("coalesce dispatcher stopped"), "{body}");
     }
-    // The rest of the front end is unaffected.
+    // Health reports the dead dispatcher instead of answering ok.
     let (status, body) = roundtrip(&mut stream, "GET", "/health", &[], "");
-    assert_eq!(status, 200, "{body}");
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("\"status\":\"coalesce dispatcher stopped\""), "{body}");
     http.shutdown();
 }

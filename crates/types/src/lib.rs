@@ -25,6 +25,7 @@ pub mod error;
 pub mod ids;
 pub mod idvec;
 pub mod intern;
+pub mod par;
 pub mod validation;
 
 pub use error::{MedKbError, Result};
