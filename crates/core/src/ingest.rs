@@ -405,24 +405,9 @@ pub fn ingest_with_stats(
     stats.freqs_s = t.elapsed().as_secs_f64();
 
     // —— Sparsity customization (lines 19–23, Figure 5) ——
-    // Two phases: read-only candidate discovery over the native graph
-    // (sharded, with one reusable Dijkstra scratch per worker), then
-    // sequential application in topo order. Shortcut edges carry their
-    // original weight, so they never change upward distances, reached
-    // sets, or Dijkstra settle order — which is what makes the split
-    // equivalent to the reference's interleaved discover-and-apply loop.
     let t = Instant::now();
-    let mut shortcuts_added = 0usize;
-    if config.add_shortcuts {
-        let order: Vec<ExtConceptId> = ekg.topo_children_first().to_vec();
-        let discovered = par::shard_chunks(order.len(), threads, |r| {
-            discover_shortcuts(&ekg, &flagged, &order[r])
-        });
-        for (a, b, dist) in discovered.into_iter().flatten() {
-            ekg.add_shortcut_with(a, b, dist, &reach)?;
-            shortcuts_added += 1;
-        }
-    }
+    let shortcuts_added =
+        if config.add_shortcuts { customize(&mut ekg, &flagged, &reach, threads)? } else { 0 };
     stats.shortcuts_s = t.elapsed().as_secs_f64();
     stats.total_s = t_total.elapsed().as_secs_f64();
 
@@ -479,6 +464,25 @@ fn map_shard(
         .collect()
 }
 
+/// Add the §5.1 shortcuts to a native graph in two phases: read-only
+/// discovery (sharded, with one reusable Dijkstra scratch per worker),
+/// then one batch insertion in topo order, which rebuilds each edge column
+/// once. Returns the number added.
+pub(crate) fn customize(
+    ekg: &mut Ekg,
+    flagged: &FlagTable,
+    reach: &ReachabilityIndex,
+    threads: usize,
+) -> Result<usize> {
+    let order = ekg.topo_children_first();
+    let batch = par::shard_chunks(order.len(), threads, |r| {
+        discover_shortcuts(ekg, flagged, &order[r])
+    })
+    .concat();
+    ekg.add_shortcuts(&batch, reach)?;
+    Ok(batch.len())
+}
+
 /// Discover the shortcut candidates of one contiguous run of source
 /// concepts, in the exact order the reference loop would add them.
 ///
@@ -488,7 +492,7 @@ fn map_shard(
 /// ascending distance, descending id on ties — which is fully determined
 /// by the final distances and therefore matches the dense reference
 /// traversal.
-pub(crate) fn discover_shortcuts(
+fn discover_shortcuts(
     ekg: &Ekg,
     flagged: &FlagTable,
     sources: &[ExtConceptId],
@@ -564,12 +568,12 @@ pub fn ingest_reference(
     // —— Sparsity customization (lines 19–23, Figure 5) ——
     // The closure is computed once, before any shortcut exists; shortcuts
     // never change reachability, so the same index validates every
-    // insertion and then serves the online phase.
+    // insertion and then serves the online phase. Candidates are gathered
+    // source by source in topo order and inserted as one batch.
     let reach = ReachabilityIndex::build(&ekg);
-    let mut shortcuts_added = 0usize;
+    let mut batch = Vec::new();
     if config.add_shortcuts {
-        let order: Vec<ExtConceptId> = ekg.topo_children_first().to_vec();
-        for a in order {
+        for &a in ekg.topo_children_first() {
             let a_flagged = flagged.contains(&a);
             let parents: HashSet<ExtConceptId> = ekg.parents(a).iter().map(|e| e.to).collect();
             // Upward distances double as |shortestPath(A, B)|.
@@ -581,10 +585,10 @@ pub fn ingest_reference(
                 {
                     continue;
                 }
-                ekg.add_shortcut_with(a, b, dist, &reach)?;
-                shortcuts_added += 1;
+                batch.push((a, b, dist));
             }
         }
+        ekg.add_shortcuts(&batch, &reach)?;
     }
 
     Ok(IngestOutput {
@@ -597,7 +601,7 @@ pub fn ingest_reference(
         flagged,
         mapper,
         reach,
-        shortcuts_added,
+        shortcuts_added: batch.len(),
     })
 }
 

@@ -29,7 +29,8 @@ pub mod reach;
 pub mod stats;
 
 pub use graph::{
-    Adjacency, Edge, Ekg, EkgBuilder, EkgParts, NeighborhoodScan, UpwardDistances, UpwardScratch,
+    Adjacency, Edge, EdgeColumns, EdgeList, Ekg, EkgBuilder, EkgParts, NeighborhoodScan,
+    UpwardDistances, UpwardScratch,
 };
 pub use lcs::{lcs_with_upward, lcs_with_upward_scratch, LcsOutcome};
 pub use path::{Direction, PathSummary};

@@ -84,7 +84,7 @@ pub fn to_dot(ekg: &Ekg, max_nodes: usize) -> String {
         out.push_str(&format!("  n{} [label=\"{}\"];\n", c.raw(), ekg.name(c).replace('"', "'")));
     }
     for &c in &shown {
-        for e in ekg.parents(c) {
+        for e in ekg.parents(c).iter() {
             if !visible.contains(&e.to) {
                 continue;
             }

@@ -51,7 +51,7 @@ proptest! {
         let pos: HashMap<ExtConceptId, usize> =
             g.topo_children_first().iter().enumerate().map(|(i, &c)| (c, i)).collect();
         for c in g.concepts() {
-            for e in g.parents(c) {
+            for e in g.parents(c).iter() {
                 prop_assert!(pos[&c] < pos[&e.to]);
             }
         }
@@ -190,8 +190,20 @@ proptest! {
     fn prop_incremental_scan_matches_fresh_neighborhood(parents in dag_strategy()) {
         // Growing one scan radius-by-radius must reproduce, prefix by
         // prefix, what a fresh full scan at each radius returns — the
-        // invariant dynamic-radius growth relies on.
-        let g = build(&parents);
+        // invariant dynamic-radius growth relies on. Every ancestor two or
+        // more hops up gets a shortcut, so the scan crosses both kinds of
+        // edge in both directions.
+        let mut g = build(&parents);
+        let batch: Vec<(ExtConceptId, ExtConceptId, u32)> = g
+            .concepts()
+            .flat_map(|c| {
+                let mut up: Vec<(ExtConceptId, u32)> = g.upward_distances(c).into_iter().collect();
+                up.sort_unstable();
+                up.into_iter().filter(|&(_, d)| d >= 2).map(move |(a, d)| (c, a, d))
+            })
+            .collect();
+        let reach = ReachabilityIndex::build(&g);
+        g.add_shortcuts(&batch, &reach).unwrap();
         let start = g.concepts().last().unwrap();
         let adjacency = Adjacency::build(&g);
         let mut scan = NeighborhoodScan::new(&adjacency, start);

@@ -151,7 +151,7 @@ pub fn check_reach_hybrid(w: &AdversarialWorld) {
 pub fn check_store_round_trip(w: &AdversarialWorld, out: &IngestOutput, config: &RelaxConfig) {
     let reopened = medkb_store::WorldStore::open_bytes(&medkb_store::WorldStore::save_bytes(out))
         .unwrap_or_else(|e| panic!("[{}] store round trip failed to open: {e}", w.label));
-    assert_eq!(out.ekg.to_parts(), reopened.ekg.to_parts(), "[{}] store: graph", w.label);
+    assert_eq!(out.ekg, reopened.ekg, "[{}] store: graph", w.label);
     assert_eq!(out.contexts, reopened.contexts, "[{}] store: contexts", w.label);
     assert_eq!(out.tag_of, reopened.tag_of, "[{}] store: tags", w.label);
     assert_eq!(out.freqs, reopened.freqs, "[{}] store: frequency tables", w.label);

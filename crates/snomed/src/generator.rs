@@ -690,7 +690,7 @@ mod tests {
             assert!(t.ekg.parents(b).iter().any(|e| pa.contains(&e.to)));
             // …whose latent is pushed away from its pair, farther apart
             // than either is from the shared parent.
-            let parent = t.ekg.parents(b)[0].to;
+            let parent = t.ekg.parents(b).targets()[0];
             assert!(
                 t.latent_distance(a, b) > t.latent_distance(b, parent),
                 "{} / {}",

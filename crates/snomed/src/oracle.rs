@@ -343,7 +343,7 @@ mod tests {
                     && t.meta[c].hierarchy == Hierarchy::ClinicalFinding
             })
             .expect("mid-depth concept exists");
-        let child = t.ekg.children(q)[0].to;
+        let child = t.ekg.children(q).targets()[0];
         let head = t
             .ekg
             .ancestors(q)
@@ -376,7 +376,7 @@ mod tests {
             .concepts()
             .find(|&c| c != t.ekg.root() && t.ekg.children(c).len() >= 2)
             .unwrap();
-        let child = t.ekg.children(q)[0].to;
+        let child = t.ekg.children(q).targets()[0];
         let ext_q = Oracle::extension(&t.ekg, q);
         let ov = Oracle::extension_overlap(&ext_q, &t.ekg, child);
         assert!((ov - 1.0).abs() < 1e-12);
@@ -396,7 +396,7 @@ mod tests {
             .expect("antonym pair exists");
         // The antonym is latently pushed away: farther from its pair than
         // the shared parent is from either twin.
-        let parent = t.ekg.parents(a)[0].to;
+        let parent = t.ekg.parents(a).targets()[0];
         assert!(
             t.latent_distance(a, b) > t.latent_distance(a, parent),
             "antonym pair {} vs parent {}",

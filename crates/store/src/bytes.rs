@@ -12,7 +12,7 @@
 //! hostile input: a truncated or bit-flipped file must come back as a
 //! clean [`MedKbError::Validation`].
 
-use medkb_types::{MedKbError, Result, ValidationReport};
+use medkb_types::{MedKbError, Result, StringColumn, ValidationReport};
 
 /// Append-only little-endian section buffer.
 #[derive(Default)]
@@ -50,8 +50,14 @@ impl SectionWriter {
 
     /// Append a length-prefixed `u32` array.
     pub fn put_u32_slice(&mut self, s: &[u32]) {
-        self.put_u64(s.len() as u64);
-        for &v in s {
+        self.put_u32s(s.iter().copied());
+    }
+
+    /// [`SectionWriter::put_u32_slice`] from an iterator, for columns held
+    /// as typed ids: the same bytes, without a `Vec<u32>` copy first.
+    pub fn put_u32s(&mut self, values: impl ExactSizeIterator<Item = u32>) {
+        self.put_u64(values.len() as u64);
+        for v in values {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
         self.pad8();
@@ -96,24 +102,17 @@ impl SectionWriter {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let items: Vec<S> = strings.into_iter().collect();
-        self.put_u64(items.len() as u64);
-        let mut offsets: Vec<u32> = Vec::with_capacity(items.len() + 1);
-        let mut total: u32 = 0;
-        offsets.push(0);
-        for s in &items {
-            total += s.as_ref().len() as u32;
-            offsets.push(total);
-        }
-        for &o in &offsets {
+        self.put_string_column(&strings.into_iter().collect());
+    }
+
+    /// [`SectionWriter::put_strings`] for strings already in one arena.
+    pub fn put_string_column(&mut self, column: &StringColumn) {
+        self.put_u64(column.len() as u64);
+        for &o in &column.offsets {
             self.buf.extend_from_slice(&o.to_le_bytes());
         }
         self.pad8();
-        self.put_u64(u64::from(total));
-        for s in &items {
-            self.buf.extend_from_slice(s.as_ref().as_bytes());
-        }
-        self.pad8();
+        self.put_bytes(column.text.as_bytes());
     }
 
     /// The finished payload (8-byte aligned).
@@ -238,6 +237,12 @@ impl<'a> SectionReader<'a> {
 
     /// Read a string list written by [`SectionWriter::put_strings`].
     pub fn strings(&mut self) -> Result<Vec<String>> {
+        Ok(self.string_column()?.iter().map(String::from).collect())
+    }
+
+    /// Read a string list into one arena, checking that its offsets ascend
+    /// from 0 to the blob's length, each on a character boundary.
+    pub fn string_column(&mut self) -> Result<StringColumn> {
         let n = self.count(4)?; // offsets dominate the size floor
         let offsets_bytes = self.take((n + 1) * 4)?;
         let offsets: Vec<u32> = offsets_bytes
@@ -245,28 +250,21 @@ impl<'a> SectionReader<'a> {
             .map(|c| u32::from_le_bytes(c.try_into().expect("chunk")))
             .collect();
         self.align8();
-        let blob = {
-            let len = self.count(1)?;
-            let b = self.take(len)?;
-            self.align8();
-            b
-        };
+        let blob = self.bytes()?;
         if offsets.first() != Some(&0) || offsets.last().copied().unwrap_or(1) as usize != blob.len()
         {
             return self.fail("string offset table does not span the blob");
         }
-        let mut out = Vec::with_capacity(n);
-        for w in offsets.windows(2) {
-            let (start, end) = (w[0] as usize, w[1] as usize);
-            if start > end || end > blob.len() {
-                return self.fail(format!("string offsets out of order: {start}..{end}"));
-            }
-            match std::str::from_utf8(&blob[start..end]) {
-                Ok(s) => out.push(s.to_string()),
-                Err(_) => return self.fail(format!("invalid UTF-8 in string at {start}..{end}")),
-            }
+        if let Some(w) = offsets.windows(2).find(|w| w[0] > w[1]) {
+            return self.fail(format!("string offsets out of order: {}..{}", w[0], w[1]));
         }
-        Ok(out)
+        let Ok(text) = std::str::from_utf8(blob) else {
+            return self.fail("invalid UTF-8 in string blob");
+        };
+        if let Some(&o) = offsets.iter().find(|&&o| !text.is_char_boundary(o as usize)) {
+            return self.fail(format!("string offset {o} splits a UTF-8 character"));
+        }
+        Ok(StringColumn { offsets, text: text.to_string() })
     }
 }
 

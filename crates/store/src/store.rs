@@ -30,7 +30,7 @@ use medkb_core::{
     ConceptMapper, FlagTable, FreqParts, Frequencies, IngestOutput, InstanceIndex, MapperParts,
     MappingIndex, MappingMethod,
 };
-use medkb_ekg::{Edge, Ekg, EkgParts, ReachParts, ReachabilityIndex};
+use medkb_ekg::{EdgeColumns, Ekg, EkgParts, ReachParts, ReachabilityIndex};
 use medkb_embed::{SifParts, WordVectorParts};
 use medkb_ontology::ContextSpec;
 use medkb_snomed::oracle::N_TAGS;
@@ -68,7 +68,7 @@ impl WorldStore {
     /// Serialize `out` into an in-memory store image.
     pub fn save_bytes(out: &IngestOutput) -> Vec<u8> {
         let sections: [Vec<u8>; 8] = [
-            enc_ekg(&out.ekg.to_parts()),
+            enc_ekg(out.ekg.parts()),
             enc_contexts(&out.contexts, &out.tag_of),
             enc_freqs(&out.freqs.to_parts()),
             enc_mappings(&out.mappings),
@@ -235,166 +235,119 @@ fn validate_and_slice(buf: &[u8]) -> Result<Vec<&[u8]>> {
 
 // ---------------------------------------------------------------- sections
 
-fn enc_ekg(parts: &EkgParts) -> Vec<u8> {
+fn enc_ekg(g: &EkgParts) -> Vec<u8> {
     let mut w = SectionWriter::new();
-    let n = parts.names.len();
-    w.put_u64(n as u64);
-    w.put_strings(parts.names.iter().map(|s| s.as_ref()));
-
-    let mut syn_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    syn_offsets.push(0);
-    let mut total = 0u32;
-    for syns in &parts.synonyms {
-        total += syns.len() as u32;
-        syn_offsets.push(total);
+    w.put_u64(g.names.len() as u64);
+    w.put_string_column(&g.names);
+    w.put_u32_slice(&g.synonym_offsets);
+    w.put_string_column(&g.synonyms);
+    w.put_string_column(&g.lookup_keys);
+    w.put_u32_slice(&g.lookup_offsets);
+    w.put_u32s(g.lookup_ids.iter().map(|c| c.raw()));
+    for cols in [&g.up, &g.down] {
+        w.put_u32_slice(&cols.offsets);
+        w.put_u32s(cols.targets.iter().map(|c| c.raw()));
+        w.put_u32_slice(&cols.weights);
+        w.put_u64_slice(&cols.shortcut);
     }
-    w.put_u32_slice(&syn_offsets);
-    w.put_strings(parts.synonyms.iter().flatten().map(|s| s.as_ref()));
-
-    w.put_strings(parts.lookup.iter().map(|(k, _)| k.as_ref()));
-    let mut lk_offsets: Vec<u32> = Vec::with_capacity(parts.lookup.len() + 1);
-    lk_offsets.push(0);
-    let mut lk_values: Vec<u32> = Vec::new();
-    for (_, vals) in &parts.lookup {
-        lk_values.extend(vals.iter().map(|c| c.raw()));
-        lk_offsets.push(lk_values.len() as u32);
-    }
-    w.put_u32_slice(&lk_offsets);
-    w.put_u32_slice(&lk_values);
-
-    for rows in [&parts.up, &parts.down] {
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut tos: Vec<u32> = Vec::new();
-        let mut weights: Vec<u32> = Vec::new();
-        let mut flags: Vec<u64> = Vec::new();
-        for row in rows.iter() {
-            for e in row {
-                let at = tos.len();
-                tos.push(e.to.raw());
-                weights.push(e.weight);
-                if at / 64 >= flags.len() {
-                    flags.push(0);
-                }
-                if e.shortcut {
-                    flags[at / 64] |= 1u64 << (at % 64);
-                }
-            }
-            offsets.push(tos.len() as u32);
-        }
-        w.put_u32_slice(&offsets);
-        w.put_u32_slice(&tos);
-        w.put_u32_slice(&weights);
-        w.put_u64_slice(&flags);
-    }
-
-    w.put_u32(parts.root.raw());
+    w.put_u32(g.root.raw());
     w.pad8();
-    w.put_u32_slice(&parts.topo.iter().map(|c| c.raw()).collect::<Vec<u32>>());
-    w.put_u32_slice(&parts.depth);
+    w.put_u32s(g.topo.iter().map(|c| c.raw()));
+    w.put_u32_slice(&g.depth);
     w.finish()
 }
 
+/// Decode the `ekg` section straight into the graph's columns, checking
+/// every offset table and every id it holds: a checksum-valid image with
+/// an out-of-range edge or lookup id, unsorted lookup keys or a `topo`
+/// that is not a permutation is a defect here, never a panic later.
 fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
     let mut r = SectionReader::new(buf, "ekg");
+    let ids = |raw: Vec<u32>| -> Vec<ExtConceptId> {
+        raw.into_iter().map(ExtConceptId::new).collect()
+    };
+    let in_range = |ids: &[ExtConceptId], n: usize| ids.iter().all(|c| (c.raw() as usize) < n);
     let n = r.u64()? as usize;
-    let names: Vec<Box<str>> =
-        r.strings()?.into_iter().map(String::into_boxed_str).collect();
+    let names = r.string_column()?;
     if names.len() != n {
         return r.fail(format!("{} names for {n} concepts", names.len()));
     }
 
-    let syn_offsets = r.u32_slice()?;
-    let syn_flat = r.strings()?;
-    if syn_offsets.len() != n + 1 || syn_offsets.last().copied().unwrap_or(1) as usize != syn_flat.len()
-    {
+    let synonym_offsets = r.u32_slice()?;
+    let synonyms = r.string_column()?;
+    if !spans(&synonym_offsets, n, synonyms.len()) {
         return r.fail("synonym offsets do not span the synonym list");
     }
-    let mut synonyms: Vec<Vec<Box<str>>> = Vec::with_capacity(n);
-    for wdw in syn_offsets.windows(2) {
-        if wdw[0] > wdw[1] {
-            return r.fail("synonym offsets out of order");
-        }
-        synonyms.push(
-            syn_flat[wdw[0] as usize..wdw[1] as usize]
-                .iter()
-                .map(|s| s.clone().into_boxed_str())
-                .collect(),
-        );
-    }
 
-    let lk_keys = r.strings()?;
-    let lk_offsets = r.u32_slice()?;
-    let lk_values = r.u32_slice()?;
-    if lk_offsets.len() != lk_keys.len() + 1
-        || lk_offsets.last().copied().unwrap_or(1) as usize != lk_values.len()
-    {
+    let lookup_keys = r.string_column()?;
+    let lookup_offsets = r.u32_slice()?;
+    let lookup_ids = ids(r.u32_slice()?);
+    if !spans(&lookup_offsets, lookup_keys.len(), lookup_ids.len()) {
         return r.fail("lookup offsets do not span the value list");
     }
-    let mut lookup: Vec<(Box<str>, Vec<ExtConceptId>)> = Vec::with_capacity(lk_keys.len());
-    for (key, wdw) in lk_keys.into_iter().zip(lk_offsets.windows(2)) {
-        if wdw[0] > wdw[1] {
-            return r.fail("lookup offsets out of order");
-        }
-        lookup.push((
-            key.into_boxed_str(),
-            lk_values[wdw[0] as usize..wdw[1] as usize]
-                .iter()
-                .map(|&c| ExtConceptId::new(c))
-                .collect(),
-        ));
+    if (1..lookup_keys.len()).any(|k| lookup_keys.get(k - 1) >= lookup_keys.get(k)) {
+        return r.fail("lookup keys are not strictly ascending");
+    }
+    if !in_range(&lookup_ids, n) {
+        return r.fail(format!("lookup id out of range ({n} concepts)"));
     }
 
-    let mut edge_lists: Vec<Vec<Vec<Edge>>> = Vec::with_capacity(2);
+    let mut edges: Vec<EdgeColumns> = Vec::with_capacity(2);
     for _ in 0..2 {
         let offsets = r.u32_slice()?;
-        let tos = r.u32_slice()?;
+        let targets = ids(r.u32_slice()?);
         let weights = r.u32_slice()?;
-        let flags = r.u64_slice()?;
-        if offsets.len() != n + 1
-            || offsets.last().copied().unwrap_or(1) as usize != tos.len()
-            || weights.len() != tos.len()
-            || flags.len() < tos.len().div_ceil(64)
+        let shortcut = r.u64_slice()?;
+        let tail = targets.len() % 64;
+        if !spans(&offsets, n, targets.len())
+            || weights.len() != targets.len()
+            || shortcut.len() != targets.len().div_ceil(64)
+            || shortcut.last().is_some_and(|&w| tail != 0 && w >> tail != 0)
         {
             return r.fail("edge arrays are inconsistent");
         }
-        let mut rows: Vec<Vec<Edge>> = Vec::with_capacity(n);
-        for wdw in offsets.windows(2) {
-            if wdw[0] > wdw[1] {
-                return r.fail("edge offsets out of order");
-            }
-            rows.push(
-                (wdw[0] as usize..wdw[1] as usize)
-                    .map(|at| Edge {
-                        to: ExtConceptId::new(tos[at]),
-                        weight: weights[at],
-                        shortcut: flags[at / 64] >> (at % 64) & 1 == 1,
-                    })
-                    .collect(),
-            );
+        if !in_range(&targets, n) {
+            return r.fail(format!("edge target out of range ({n} concepts)"));
         }
-        edge_lists.push(rows);
+        edges.push(EdgeColumns { offsets, targets, weights, shortcut });
     }
-    let down = edge_lists.pop().expect("two edge lists");
-    let up = edge_lists.pop().expect("two edge lists");
+    let down = edges.pop().expect("two edge lists");
+    let up = edges.pop().expect("two edge lists");
 
     let root = r.u32()?;
     r.align8();
-    let topo: Vec<ExtConceptId> = r.u32_slice()?.into_iter().map(ExtConceptId::new).collect();
+    let topo = ids(r.u32_slice()?);
     let depth = r.u32_slice()?;
     if (root as usize) >= n.max(1) || topo.len() != n || depth.len() != n {
         return r.fail("root/topo/depth inconsistent with concept count");
     }
+    let mut seen = vec![false; n];
+    let permutation = in_range(&topo, n)
+        && topo.iter().all(|c| !std::mem::replace(&mut seen[c.raw() as usize], true));
+    if !permutation {
+        return r.fail("topo is not a permutation of the concepts");
+    }
     Ok(EkgParts {
         names,
+        synonym_offsets,
         synonyms,
-        lookup,
+        lookup_keys,
+        lookup_offsets,
+        lookup_ids,
         up,
         down,
         root: ExtConceptId::new(root),
         topo,
         depth,
     })
+}
+
+/// Whether `offsets` holds `rows + 1` positions ascending from 0 to `len`.
+fn spans(offsets: &[u32], rows: usize, len: usize) -> bool {
+    offsets.len() == rows + 1
+        && offsets[0] == 0
+        && offsets[rows] as usize == len
+        && offsets.windows(2).all(|w| w[0] <= w[1])
 }
 
 fn enc_contexts(contexts: &[ContextSpec], tag_of: &[ContextTag]) -> Vec<u8> {

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod column;
 pub mod error;
 pub mod ids;
 pub mod idvec;
@@ -28,6 +29,7 @@ pub mod intern;
 pub mod par;
 pub mod validation;
 
+pub use column::StringColumn;
 pub use error::{MedKbError, Result};
 pub use ids::{
     ContextId, DocId, ExtConceptId, Id, InstanceId, OntoConceptId, RelationshipId, SourceId,

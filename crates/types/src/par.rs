@@ -11,11 +11,15 @@
 //! One chunk runs on the calling thread: no spawn, no merge.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Worker threads the host offers (`available_parallelism`; 1 when it
-/// cannot be read).
+/// cannot be read). Read once per process: the query costs tens of
+/// microseconds (it parses cgroup files on Linux), and every coalesced
+/// dispatch and `/batch` request asks for it.
 pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Length of each chunk when `len` items split over `threads` workers:
@@ -64,6 +68,15 @@ pub fn shard_map<T: Send>(len: usize, threads: usize, f: impl Fn(usize) -> T + S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cores_is_positive_and_stable() {
+        let first = cores();
+        assert!(first >= 1);
+        assert!((0..100).all(|_| cores() == first));
+        let other = std::thread::spawn(cores).join().expect("reader thread");
+        assert_eq!(other, first, "one count for every thread");
+    }
 
     #[test]
     fn chunks_are_contiguous_ordered_and_single_chunks_stay_inline() {

@@ -15,10 +15,11 @@ cargo test -q
 # socket-level HTTP tests, and the suites that pin every sharded stage
 # to its sequential answer: the fork/join helper's own test (types),
 # parallel mention counting and corpus determinism (corpus), SGNS
-# training at 2/4/8 threads (embed) and the per-method evaluation runs
-# (eval).
+# training at 2/4/8 threads (embed), the per-method evaluation runs
+# (eval), and the store's round-trip, corruption, pinned-bytes and
+# checksum-valid graph-defect tests (store).
 cargo test -q -p medkb-ekg -p medkb-core -p medkb-serve -p medkb-types -p medkb-corpus \
-    -p medkb-embed -p medkb-eval
+    -p medkb-embed -p medkb-eval -p medkb-store
 
 # The conformance suites are part of the root test run above, but name them
 # explicitly so a filtered/partial invocation can't silently skip them.

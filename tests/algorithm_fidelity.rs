@@ -68,7 +68,7 @@ fn algorithm1_shortcuts_satisfy_all_three_conditions() {
     let original = &f.world.terminology.ekg;
     let mut checked = 0;
     for a in out.ekg.concepts() {
-        for edge in out.ekg.parents(a) {
+        for edge in out.ekg.parents(a).iter() {
             if !edge.shortcut {
                 continue;
             }
