@@ -311,8 +311,12 @@ impl DeltaEngine {
         Self { kb, corpus, ekg, sif, config, counts, trie, raw, pairs, out }
     }
 
-    /// The current derived output (publish clones of this through the
-    /// snapshot store).
+    /// The current derived output. Publish clones of it through the
+    /// snapshot store: a clone copies the small parts and shares the
+    /// `Arc`ed ones. [`DeltaEngine::apply`] replaces each part it changes
+    /// with a fresh `Arc` and never writes through a shared one, so a
+    /// published clone keeps its world while later deltas apply, and
+    /// shares every part they leave alone.
     pub fn output(&self) -> &IngestOutput {
         &self.out
     }
@@ -622,9 +626,10 @@ impl DeltaEngine {
             // deterministically against the frozen SIF model and remap the
             // full instance scan (bit-identical to the pipeline's sharded
             // scan, which merges in shard order).
-            self.out.mapper =
+            self.out.mapper = Arc::new(
                 ConceptMapper::build(&self.ekg, self.config.mapping, self.sif.clone())
-                    .expect("mapper rebuild with unchanged config and frozen SIF");
+                    .expect("mapper rebuild with unchanged config and frozen SIF"),
+            );
             self.pairs = self
                 .kb
                 .instances()
@@ -659,8 +664,8 @@ impl DeltaEngine {
         }
         if mapping_changed {
             self.out.flagged = self.pairs.iter().map(|&(_, c)| c).collect();
-            self.out.instances_of = InstanceIndex::from_run(&self.pairs);
-            self.out.mappings = MappingIndex::from_pairs(self.pairs.clone());
+            self.out.instances_of = Arc::new(InstanceIndex::from_run(&self.pairs));
+            self.out.mappings = Arc::new(MappingIndex::from_pairs(self.pairs.clone()));
         } else {
             self.out.flagged = old_flagged.clone();
         }
@@ -675,12 +680,12 @@ impl DeltaEngine {
                 cone.extend(self.ekg.descendants(seed));
             }
             if (cone.len() as f64) >= REACH_REBUILD_THRESHOLD * (n as f64) {
-                self.out.reach = ReachabilityIndex::build(&self.ekg);
+                self.out.reach = Arc::new(ReachabilityIndex::build(&self.ekg));
                 if let Some(reg) = self.config.obs.registry() {
                     reg.counter(obs_names::FALLBACK_FULL_REBUILDS).inc();
                 }
             } else {
-                self.out.reach = self.out.reach.repair(&self.ekg, &cone);
+                self.out.reach = Arc::new(self.out.reach.repair(&self.ekg, &cone));
             }
         }
 
@@ -694,7 +699,8 @@ impl DeltaEngine {
                 self.config.use_tfidf,
                 threads,
             );
-            self.out.freqs = Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach));
+            self.out.freqs =
+                Arc::new(Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach)));
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::FULL_FREQ_RECOMPUTES).inc();
             }
@@ -720,7 +726,8 @@ impl DeltaEngine {
                 &self.out.reach,
                 &cone,
             );
-            self.out.freqs = Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach));
+            self.out.freqs =
+                Arc::new(Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach)));
         }
 
         // —— Shortcut customization ——
@@ -728,13 +735,14 @@ impl DeltaEngine {
         // name tables, or the flagged set changed; otherwise the previous
         // customized graph is reused byte-for-byte.
         if dirty.graph_changed || dirty.names_changed || flagged_changed {
-            self.out.ekg = self.ekg.clone();
+            let mut ekg = self.ekg.clone();
             self.out.shortcuts_added = if self.config.add_shortcuts {
-                customize(&mut self.out.ekg, &self.out.flagged, &self.out.reach, threads)
+                customize(&mut ekg, &self.out.flagged, &self.out.reach, threads)
                     .expect("rediscovered shortcuts stay valid")
             } else {
                 0
             };
+            self.out.ekg = Arc::new(ekg);
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::SHORTCUT_RERUNS).inc();
             }

@@ -219,31 +219,37 @@ impl FromIterator<ExtConceptId> for FlagTable {
 /// The artifacts Algorithm 1 produces: contexts `C`, frequencies `F`,
 /// mappings `M`, flagged external concepts `FEC` — plus the customized
 /// graph and the indexes the online phase needs.
+///
+/// The large parts sit behind `Arc`s, so a clone (one per published
+/// epoch) copies only the contexts, tags and flagged bitset and shares
+/// the rest. Nothing writes through a shared part: whoever changes one
+/// builds it anew and assigns a fresh `Arc` (`DeltaEngine::apply`), so a
+/// clone taken earlier keeps seeing its own world.
 #[derive(Debug, Clone)]
 pub struct IngestOutput {
     /// The external knowledge source, with shortcut edges added.
-    pub ekg: Ekg,
+    pub ekg: Arc<Ekg>,
     /// The set of possible contexts `C` (Algorithm 1 lines 1–4).
     pub contexts: Vec<ContextSpec>,
     /// Context → semantic tag, dense over the contiguous context ids
     /// (which corpus sentence family measures each context).
     pub tag_of: Vec<ContextTag>,
     /// Per-context concept frequencies and IC (`F`).
-    pub freqs: Frequencies,
+    pub freqs: Arc<Frequencies>,
     /// Instance → external concept mappings (`M`), sorted by instance id.
-    pub mappings: MappingIndex,
+    pub mappings: Arc<MappingIndex>,
     /// Reverse index: external concept → its mapped instances (CSR).
-    pub instances_of: InstanceIndex,
+    pub instances_of: Arc<InstanceIndex>,
     /// Flagged external concepts (`FEC`): those with a KB instance.
     pub flagged: FlagTable,
     /// The mapper, reused online for query terms (Algorithm 2 line 1 uses
     /// "the same mapping function as in Algorithm 1").
-    pub mapper: ConceptMapper,
+    pub mapper: Arc<ConceptMapper>,
     /// Bitset transitive closure of the graph, built once here and reused
     /// by every online LCS minimality check and shortcut validation
     /// (shortcut edges never change the closure, so it stays valid for the
     /// customized graph).
-    pub reach: ReachabilityIndex,
+    pub reach: Arc<ReachabilityIndex>,
     /// Number of shortcut edges the customization added.
     pub shortcuts_added: usize,
 }
@@ -437,15 +443,15 @@ pub fn ingest_with_stats(
 
     Ok((
         IngestOutput {
-            ekg,
+            ekg: Arc::new(ekg),
             contexts,
             tag_of,
-            freqs,
-            mappings,
-            instances_of,
+            freqs: Arc::new(freqs),
+            mappings: Arc::new(mappings),
+            instances_of: Arc::new(instances_of),
             flagged,
-            mapper,
-            reach,
+            mapper: Arc::new(mapper),
+            reach: Arc::new(reach),
             shortcuts_added,
         },
         stats,
@@ -592,15 +598,15 @@ pub fn ingest_reference(
     }
 
     Ok(IngestOutput {
-        ekg,
+        ekg: Arc::new(ekg),
         contexts,
         tag_of,
-        freqs,
-        mappings,
-        instances_of,
+        freqs: Arc::new(freqs),
+        mappings: Arc::new(mappings),
+        instances_of: Arc::new(instances_of),
         flagged,
-        mapper,
-        reach,
+        mapper: Arc::new(mapper),
+        reach: Arc::new(reach),
         shortcuts_added: batch.len(),
     })
 }

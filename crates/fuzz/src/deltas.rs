@@ -159,8 +159,10 @@ fn concept_churn(rng: &mut StdRng, seed: u64, engine: &DeltaEngine) -> Vec<Delta
                 if !parents.contains(&extra) && rng.gen_bool(0.5) {
                     parents.push(extra);
                 }
+                // Named after the id it will get: ids never shrink, so the
+                // name is new even beside a leaf a rolled-back delta left.
                 ops.push(DeltaOp::AddConcept {
-                    name: format!("delta node {seed} {i}"),
+                    name: format!("delta node {seed} {n}"),
                     synonyms,
                     parents,
                 });

@@ -25,13 +25,14 @@ use medkb_ekg::{
     lcs_with_upward, lcs_with_upward_scratch, DenseReachability, ReachabilityIndex, UpwardScratch,
 };
 use medkb_core::{
-    ingest, ingest_reference, ingest_with_stats, outputs_identical, DeltaEngine,
+    ingest, ingest_reference, ingest_with_stats, outputs_identical, DeltaEngine, DeltaOp,
     FederatedRelaxer, IngestOutput, MappingMethod, ParallelConfig, QrScorer, QueryRelaxer,
     RelaxConfig, SourceRegistry,
 };
 use medkb_snomed::ContextTag;
 use medkb_text::{tokenize, Gazetteer, PhraseMatch};
-use medkb_types::{ContextId, ExtConceptId, Id};
+use medkb_store::WorldStore;
+use medkb_types::{ContextId, ExtConceptId, Id, MedKbError};
 
 use crate::worlds::AdversarialWorld;
 
@@ -149,7 +150,7 @@ pub fn check_reach_hybrid(w: &AdversarialWorld) {
 /// `out`, and whose relaxation answers are bit-identical over the world's
 /// query battery.
 pub fn check_store_round_trip(w: &AdversarialWorld, out: &IngestOutput, config: &RelaxConfig) {
-    let reopened = medkb_store::WorldStore::open_bytes(&medkb_store::WorldStore::save_bytes(out))
+    let reopened = WorldStore::open_bytes(&WorldStore::save_bytes(out))
         .unwrap_or_else(|e| panic!("[{}] store round trip failed to open: {e}", w.label));
     assert_eq!(out.ekg, reopened.ekg, "[{}] store: graph", w.label);
     assert_eq!(out.contexts, reopened.contexts, "[{}] store: contexts", w.label);
@@ -640,6 +641,13 @@ fn check_two_source_determinism(w: &AdversarialWorld, config: &RelaxConfig, term
 /// the world's query battery must match element-wise. Deltas compound on
 /// one engine per thread count, so later kinds run on already-churned
 /// state.
+///
+/// Each kind first runs as a delta whose last op always fails: the whole
+/// delta must be rejected and rolled back, leaving the output as it was.
+/// The delta is then generated again from the rolled-back state (a
+/// rolled-back concept stays as a leaf, so ids move) and applied for real,
+/// and the output published before that apply must still save to the same
+/// bytes: a published epoch is never written through.
 pub fn check_delta(w: &AdversarialWorld) {
     use crate::deltas::{generate_delta, DeltaKind};
     for threads in THREAD_SWEEP {
@@ -660,17 +668,36 @@ pub fn check_delta(w: &AdversarialWorld) {
         )
         .unwrap_or_else(|e| panic!("[{}] delta engine build failed: {e}", w.label));
         for (i, &kind) in DeltaKind::ALL.iter().enumerate() {
-            let delta = generate_delta(
-                w.seed.wrapping_mul(31).wrapping_add(i as u64),
-                kind,
-                &engine,
+            let seed = w.seed.wrapping_mul(31).wrapping_add(i as u64);
+            let published = engine.output().clone();
+            let mut failing = generate_delta(seed, kind, &engine);
+            failing.ops.push(DeltaOp::RemoveDocument { index: usize::MAX });
+            match engine.apply(&failing) {
+                Err(MedKbError::Validation(_)) => {}
+                other => panic!(
+                    "[{}] {kind:?} delta with a failing last op @{threads} threads: \
+                     expected a validation error, got {other:?}",
+                    w.label
+                ),
+            }
+            assert!(
+                outputs_identical(engine.output(), &published),
+                "[{}] {kind:?} rolled-back delta @{threads} threads changed the output",
+                w.label
             );
+            let published_bytes = WorldStore::save_bytes(&published);
+            let delta = generate_delta(seed, kind, &engine);
             engine.apply(&delta).unwrap_or_else(|e| {
                 panic!(
                     "[{}] {kind:?} delta rejected @{threads} threads: {e}\nops: {:?}",
                     w.label, delta.ops
                 )
             });
+            assert!(
+                WorldStore::save_bytes(&published) == published_bytes,
+                "[{}] {kind:?} delta @{threads} threads wrote through a published output",
+                w.label
+            );
             let counts = MentionCounts::count_with_threads(
                 engine.corpus(),
                 engine.native_ekg(),

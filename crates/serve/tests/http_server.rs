@@ -585,7 +585,7 @@ fn dispatcher_panic_fails_its_callers_instead_of_stranding_them() {
     let mut lone = medkb_ekg::EkgBuilder::new();
     lone.concept("root");
     let mut broken = out.clone();
-    broken.reach = medkb_ekg::ReachabilityIndex::build(&lone.build().unwrap());
+    broken.reach = Arc::new(medkb_ekg::ReachabilityIndex::build(&lone.build().unwrap()));
     let server = Arc::new(RelaxServer::new(out, config, ServeConfig::default()));
     let http = HttpServer::start(Arc::clone(&server), None, HttpConfig::default()).unwrap();
     server.publish(broken);

@@ -12,40 +12,83 @@
 //! hostile input: a truncated or bit-flipped file must come back as a
 //! clean [`MedKbError::Validation`].
 
+use std::io::{self, Write};
+
 use medkb_types::{MedKbError, Result, StringColumn, ValidationReport};
 
-/// Append-only little-endian section buffer.
-#[derive(Default)]
-pub struct SectionWriter {
-    buf: Vec<u8>,
+use crate::xxh::Xxh64;
+
+/// Bytes a [`SectionWriter`] gathers before it hashes and writes them.
+const STAGE_BYTES: usize = 64 * 1024;
+
+/// Streams one little-endian section into a sink, hashing it on the way:
+/// values gather in a small staging buffer that is checksummed and written
+/// whenever it fills, so a section of any size costs [`STAGE_BYTES`] of
+/// memory, never its own size.
+///
+/// The first write error is kept and every later write skipped, so the
+/// section encoders need no error plumbing; [`SectionWriter::finish`]
+/// reports it.
+pub struct SectionWriter<'a> {
+    sink: &'a mut dyn Write,
+    stage: Vec<u8>,
+    hash: Xxh64,
+    written: u64,
+    error: Option<io::Error>,
 }
 
-impl SectionWriter {
-    /// An empty section.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> SectionWriter<'a> {
+    /// An empty section written to `sink` and checksummed with `xxh64`
+    /// under `seed`.
+    pub fn new(sink: &'a mut dyn Write, seed: u64) -> Self {
+        Self {
+            sink,
+            stage: Vec::with_capacity(STAGE_BYTES),
+            hash: Xxh64::new(seed),
+            written: 0,
+            error: None,
+        }
+    }
+
+    /// Hash and write the staged bytes, then `tail` (unstaged).
+    fn spill(&mut self, tail: &[u8]) {
+        for chunk in [&self.stage[..], tail] {
+            self.hash.update(chunk);
+            self.written += chunk.len() as u64;
+            if self.error.is_none() {
+                self.error = self.sink.write_all(chunk).err();
+            }
+        }
+        self.stage.clear();
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        if self.stage.len() + bytes.len() <= STAGE_BYTES {
+            self.stage.extend_from_slice(bytes);
+        } else {
+            self.spill(bytes);
+        }
     }
 
     /// Zero-pad to the next 8-byte boundary.
     pub fn pad8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
+        let len = self.written as usize + self.stage.len();
+        self.push(&[0; 8][..len.next_multiple_of(8) - len]);
     }
 
     /// Append one `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.push(&v.to_le_bytes());
     }
 
     /// Append one `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.push(&v.to_le_bytes());
     }
 
     /// Append one `f64` (exact bit pattern).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.put_u64(v.to_bits());
     }
 
     /// Append a length-prefixed `u32` array.
@@ -58,7 +101,7 @@ impl SectionWriter {
     pub fn put_u32s(&mut self, values: impl ExactSizeIterator<Item = u32>) {
         self.put_u64(values.len() as u64);
         for v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.put_u32(v);
         }
         self.pad8();
     }
@@ -67,7 +110,7 @@ impl SectionWriter {
     pub fn put_u64_slice(&mut self, s: &[u64]) {
         self.put_u64(s.len() as u64);
         for &v in s {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.put_u64(v);
         }
     }
 
@@ -75,23 +118,19 @@ impl SectionWriter {
     pub fn put_f64_slice(&mut self, s: &[f64]) {
         self.put_u64(s.len() as u64);
         for &v in s {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            self.put_f64(v);
         }
     }
 
     /// Append a length-prefixed `f32` array (exact bit patterns).
     pub fn put_f32_slice(&mut self, s: &[f32]) {
-        self.put_u64(s.len() as u64);
-        for &v in s {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self.pad8();
+        self.put_u32s(s.iter().map(|v| v.to_bits()));
     }
 
     /// Append a length-prefixed raw byte blob.
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
+        self.push(b);
         self.pad8();
     }
 
@@ -109,16 +148,24 @@ impl SectionWriter {
     pub fn put_string_column(&mut self, column: &StringColumn) {
         self.put_u64(column.len() as u64);
         for &o in &column.offsets {
-            self.buf.extend_from_slice(&o.to_le_bytes());
+            self.put_u32(o);
         }
         self.pad8();
         self.put_bytes(column.text.as_bytes());
     }
 
-    /// The finished payload (8-byte aligned).
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Pad, hash and write what is left; return the section's length and
+    /// checksum, or the first error the sink reported.
+    ///
+    /// # Errors
+    /// The first write error of this section.
+    pub fn finish(mut self) -> io::Result<(u64, u64)> {
         self.pad8();
-        self.buf
+        self.spill(&[]);
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => Ok((self.written, self.hash.digest())),
+        }
     }
 }
 
@@ -274,14 +321,16 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        let mut w = SectionWriter::new();
+        let mut buf = Vec::new();
+        let mut w = SectionWriter::new(&mut buf, 3);
         w.put_u64(7);
         w.put_f64(-0.0);
         w.put_u32_slice(&[1, 2, 3]);
         w.put_f64_slice(&[1.5, f64::NAN]);
         w.put_f32_slice(&[0.25]);
         w.put_strings(["alpha", "", "βήτα"]);
-        let buf = w.finish();
+        let (len, checksum) = w.finish().unwrap();
+        assert_eq!((len, checksum), (buf.len() as u64, crate::xxh64(&buf, 3)));
         assert_eq!(buf.len() % 8, 0);
 
         let mut r = SectionReader::new(&buf, "test");
@@ -297,9 +346,10 @@ mod tests {
 
     #[test]
     fn truncation_is_a_defect_not_a_panic() {
-        let mut w = SectionWriter::new();
+        let mut buf = Vec::new();
+        let mut w = SectionWriter::new(&mut buf, 0);
         w.put_u32_slice(&[1, 2, 3, 4, 5]);
-        let buf = w.finish();
+        w.finish().unwrap();
         // Cuts inside the trailing alignment padding still read the full
         // array; every cut inside the prefix or data must be a defect.
         for cut in 0..8 + 5 * 4 {

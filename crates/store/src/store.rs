@@ -24,7 +24,10 @@
 //! [`MedKbError::Validation`] with a defect naming the failing section —
 //! never a panic.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use medkb_core::{
     ConceptMapper, FlagTable, FreqParts, Frequencies, IngestOutput, InstanceIndex, MapperParts,
@@ -62,56 +65,32 @@ const TABLE_ENTRY: usize = 32;
 /// embedding model and concept index — into one flat file;
 /// [`WorldStore::open`] validates the header and every section checksum,
 /// then reconstructs the output without re-running Algorithm 1.
+///
+/// Both stream. `save` encodes, checksums and writes one section at a
+/// time and writes the header last; `open` reads, checksums and decodes
+/// one section at a time. Neither holds a whole image beside the world.
+/// [`WorldStore::save_bytes`] and [`WorldStore::open_bytes`] run the same
+/// code over an in-memory image.
 pub struct WorldStore;
 
 impl WorldStore {
     /// Serialize `out` into an in-memory store image.
     pub fn save_bytes(out: &IngestOutput) -> Vec<u8> {
-        let sections: [Vec<u8>; 8] = [
-            enc_ekg(out.ekg.parts()),
-            enc_contexts(&out.contexts, &out.tag_of),
-            enc_freqs(&out.freqs.to_parts()),
-            enc_mappings(&out.mappings),
-            enc_instances(&out.instances_of),
-            enc_reach(&out.reach.to_parts()),
-            enc_mapper(&out.mapper.to_parts()),
-            enc_meta(out),
-        ];
-
-        let mut table = Vec::with_capacity(SECTION_IDS.len() * TABLE_ENTRY);
-        let mut offset = (HEADER_FIXED + SECTION_IDS.len() * TABLE_ENTRY) as u64;
-        for (i, payload) in sections.iter().enumerate() {
-            debug_assert_eq!(payload.len() % 8, 0, "section payloads are 8-byte aligned");
-            table.extend_from_slice(&SECTION_IDS[i].to_le_bytes());
-            table.extend_from_slice(&0u32.to_le_bytes());
-            table.extend_from_slice(&offset.to_le_bytes());
-            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            table.extend_from_slice(&xxh64(payload, u64::from(SECTION_IDS[i])).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-
-        let mut buf = Vec::with_capacity(offset as usize);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(SECTION_IDS.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&xxh64(&table, u64::from(FORMAT_VERSION)).to_le_bytes());
-        buf.extend_from_slice(&table);
-        for payload in &sections {
-            buf.extend_from_slice(payload);
-        }
-        buf
+        let mut image = Cursor::new(Vec::new());
+        write_image(out, &mut image).expect("writing to memory cannot fail");
+        image.into_inner()
     }
 
-    /// Save `out` to `path`, returning the file size in bytes.
+    /// Save `out` to `path`, returning the file size in bytes. The header
+    /// is written last, so a save that stops part-way leaves a file whose
+    /// magic is zero, and that file never opens.
     ///
     /// # Errors
     /// [`MedKbError::InvalidArgument`] when the file cannot be written.
     pub fn save(out: &IngestOutput, path: &Path) -> Result<u64> {
-        let bytes = Self::save_bytes(out);
-        std::fs::write(path, &bytes).map_err(|e| {
-            MedKbError::invalid(format!("store save {}: {e}", path.display()))
-        })?;
-        Ok(bytes.len() as u64)
+        File::create(path)
+            .and_then(|file| save_to(out, BufWriter::new(file)))
+            .map_err(|e| MedKbError::invalid(format!("store save {}: {e}", path.display())))
     }
 
     /// Reconstruct an [`IngestOutput`] from a store image.
@@ -121,29 +100,7 @@ impl WorldStore {
     /// wrong magic, unsupported version, out-of-range section, checksum
     /// mismatch, or malformed section content.
     pub fn open_bytes(buf: &[u8]) -> Result<IngestOutput> {
-        let sections = validate_and_slice(buf)?;
-        let ekg = Ekg::from_parts(dec_ekg(sections[0])?);
-        let (contexts, tag_of) = dec_contexts(sections[1])?;
-        let freqs = Frequencies::from_parts(dec_freqs(sections[2])?);
-        let pairs = dec_mappings(sections[3])?;
-        let instances_of = dec_instances(sections[4])?;
-        let reach = ReachabilityIndex::from_parts(dec_reach(sections[5], ekg.len())?);
-        let mapper = ConceptMapper::from_parts(&ekg, dec_mapper(sections[6])?)?;
-        let shortcuts_added = dec_meta(sections[7], ekg.len(), contexts.len())?;
-        let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
-        let mappings = MappingIndex::from_pairs(pairs);
-        Ok(IngestOutput {
-            ekg,
-            contexts,
-            tag_of,
-            freqs,
-            mappings,
-            instances_of,
-            flagged,
-            mapper,
-            reach,
-            shortcuts_added,
-        })
+        read_image(&mut Cursor::new(buf), "image")
     }
 
     /// Open the store at `path`.
@@ -152,91 +109,224 @@ impl WorldStore {
     /// [`MedKbError::InvalidArgument`] when the file cannot be read;
     /// otherwise as [`WorldStore::open_bytes`].
     pub fn open(path: &Path) -> Result<IngestOutput> {
-        let bytes = std::fs::read(path).map_err(|e| {
-            MedKbError::invalid(format!("store open {}: {e}", path.display()))
-        })?;
-        Self::open_bytes(&bytes)
+        let label = path.display().to_string();
+        let mut file = File::open(path).map_err(|e| read_failed(&label, e))?;
+        read_image(&mut file, &label)
     }
 }
 
-/// Validate header + every section checksum; return the payload slices in
-/// section order. Collects **all** header/table defects before failing.
-fn validate_and_slice(buf: &[u8]) -> Result<Vec<&[u8]>> {
-    let mut report = ValidationReport::new();
-    if buf.len() < HEADER_FIXED {
-        report.defect("store header", None, format!("file too small: {} bytes", buf.len()));
-        return Err(MedKbError::Validation(report));
+/// [`write_image`] through a buffered writer, flushed here because
+/// dropping a `BufWriter` discards the error of its last flush.
+fn save_to<W: Write + Seek>(out: &IngestOutput, mut w: BufWriter<W>) -> io::Result<u64> {
+    let len = write_image(out, &mut w)?;
+    w.flush()?;
+    Ok(len)
+}
+
+/// Write the image of `out` to `w` and return its length: a zeroed header
+/// and section table, then each section as it is encoded, then the real
+/// header and table over the zeroes.
+fn write_image<W: Write + Seek>(out: &IngestOutput, w: &mut W) -> io::Result<u64> {
+    let mut head = [0u8; HEADER_FIXED + SECTION_IDS.len() * TABLE_ENTRY];
+    w.write_all(&head)?;
+    let mut offset = head.len() as u64;
+    let entries = head[HEADER_FIXED..].chunks_exact_mut(TABLE_ENTRY);
+    for (i, (&id, entry)) in SECTION_IDS.iter().zip(entries).enumerate() {
+        let mut section = SectionWriter::new(w, u64::from(id));
+        match i {
+            0 => enc_ekg(&mut section, out.ekg.parts()),
+            1 => enc_contexts(&mut section, &out.contexts, &out.tag_of),
+            2 => enc_freqs(&mut section, &out.freqs.to_parts()),
+            3 => enc_mappings(&mut section, &out.mappings),
+            4 => enc_instances(&mut section, &out.instances_of),
+            5 => enc_reach(&mut section, &out.reach.to_parts()),
+            6 => enc_mapper(&mut section, &out.mapper.to_parts()),
+            _ => enc_meta(&mut section, out),
+        }
+        let (len, checksum) = section.finish()?;
+        entry[0..4].copy_from_slice(&id.to_le_bytes());
+        entry[8..16].copy_from_slice(&offset.to_le_bytes());
+        entry[16..24].copy_from_slice(&len.to_le_bytes());
+        entry[24..32].copy_from_slice(&checksum.to_le_bytes());
+        offset += len;
     }
-    if buf[..8] != MAGIC {
-        report.defect("store header", None, format!("bad magic {:02x?}", &buf[..8]));
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().expect("4-byte chunk"));
-    if version != FORMAT_VERSION {
-        report.defect(
-            "store header",
-            None,
-            format!("unsupported format version {version} (expected {FORMAT_VERSION})"),
-        );
-    }
-    let count = u32::from_le_bytes(buf[12..16].try_into().expect("4-byte chunk")) as usize;
-    if count != SECTION_IDS.len() {
-        report.defect(
-            "store header",
-            None,
-            format!("expected {} sections, header declares {count}", SECTION_IDS.len()),
-        );
-    }
-    if !report.is_empty() {
-        return Err(MedKbError::Validation(report));
+    let table_checksum = xxh64(&head[HEADER_FIXED..], u64::from(FORMAT_VERSION));
+    head[0..8].copy_from_slice(&MAGIC);
+    head[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    head[12..16].copy_from_slice(&(SECTION_IDS.len() as u32).to_le_bytes());
+    head[16..24].copy_from_slice(&table_checksum.to_le_bytes());
+    w.seek(SeekFrom::Start(0))?;
+    w.write_all(&head)?;
+    Ok(offset)
+}
+
+fn read_failed(label: &str, e: io::Error) -> MedKbError {
+    MedKbError::invalid(format!("store open {label}: {e}"))
+}
+
+/// Decode the image in `src` section by section; `label` names the source
+/// in read-error messages.
+fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> {
+    let mut s = Sections::new(src, label)?;
+    let ekg = s.next(|b| dec_ekg(b).map(Ekg::from_parts))?;
+    let n = ekg.as_ref().map_or(0, Ekg::len);
+    let contexts = s.next(dec_contexts)?;
+    let m = contexts.as_ref().map_or(0, |(c, _)| c.len());
+    let freqs = s.next(|b| dec_freqs(b).map(Frequencies::from_parts))?;
+    let pairs = s.next(dec_mappings)?;
+    let instances_of = s.next(dec_instances)?;
+    let reach = s.next(|b| dec_reach(b, n).map(ReachabilityIndex::from_parts))?;
+    let mapper = s.next(dec_mapper)?;
+    let shortcuts_added = s.next(|b| dec_meta(b, n, m))?;
+    // Every section decoded exactly when no defect was found.
+    let (
+        Some(ekg),
+        Some((contexts, tag_of)),
+        Some(freqs),
+        Some(pairs),
+        Some(instances_of),
+        Some(reach),
+        Some(mapper),
+        Some(shortcuts_added),
+    ) = (ekg, contexts, freqs, pairs, instances_of, reach, mapper, shortcuts_added)
+    else {
+        return Err(MedKbError::Validation(s.report));
+    };
+    let mapper = ConceptMapper::from_parts(&ekg, mapper)?;
+    let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
+    Ok(IngestOutput {
+        ekg: Arc::new(ekg),
+        contexts,
+        tag_of,
+        freqs: Arc::new(freqs),
+        mappings: Arc::new(MappingIndex::from_pairs(pairs)),
+        instances_of: Arc::new(instances_of),
+        flagged,
+        mapper: Arc::new(mapper),
+        reach: Arc::new(reach),
+        shortcuts_added,
+    })
+}
+
+/// A validated header and section table over a source, read one section
+/// at a time in table order.
+struct Sections<'a, R> {
+    src: &'a mut R,
+    label: &'a str,
+    len: u64,
+    table: Vec<u8>,
+    next: usize,
+    /// Defects found so far. Once there is one, sections are still read
+    /// and checksummed, so every corrupted one is named, but no longer
+    /// decoded.
+    report: ValidationReport,
+}
+
+impl<'a, R: Read + Seek> Sections<'a, R> {
+    /// Validate the header and the section table's checksum. Collects
+    /// **all** header defects before failing.
+    fn new(src: &'a mut R, label: &'a str) -> Result<Self> {
+        let len = src.seek(SeekFrom::End(0)).map_err(|e| read_failed(label, e))?;
+        let report = ValidationReport::new();
+        let mut s = Self { src, label, len, table: Vec::new(), next: 0, report };
+        let header = "store header";
+        if len < HEADER_FIXED as u64 {
+            s.report.defect(header, None, format!("file too small: {len} bytes"));
+            return Err(MedKbError::Validation(s.report));
+        }
+        let head = s.read_at(0, HEADER_FIXED)?;
+        if head[..8] != MAGIC {
+            s.report.defect(header, None, format!("bad magic {:02x?}", &head[..8]));
+        }
+        let version = u32::from_le_bytes(head[8..12].try_into().expect("4-byte chunk"));
+        if version != FORMAT_VERSION {
+            s.report.defect(
+                header,
+                None,
+                format!("unsupported format version {version} (expected {FORMAT_VERSION})"),
+            );
+        }
+        let count = u32::from_le_bytes(head[12..16].try_into().expect("4-byte chunk")) as usize;
+        if count != SECTION_IDS.len() {
+            s.report.defect(
+                header,
+                None,
+                format!("expected {} sections, header declares {count}", SECTION_IDS.len()),
+            );
+        }
+        if !s.report.is_empty() {
+            return Err(MedKbError::Validation(s.report));
+        }
+        if len < (HEADER_FIXED + count * TABLE_ENTRY) as u64 {
+            s.report.defect(header, None, "file truncated inside the section table");
+            return Err(MedKbError::Validation(s.report));
+        }
+        s.table = s.read_at(HEADER_FIXED as u64, count * TABLE_ENTRY)?;
+        let declared = u64::from_le_bytes(head[16..24].try_into().expect("8-byte chunk"));
+        if xxh64(&s.table, u64::from(version)) != declared {
+            s.report.defect(header, None, "section table checksum mismatch");
+            return Err(MedKbError::Validation(s.report));
+        }
+        Ok(s)
     }
 
-    let table_end = HEADER_FIXED + count * TABLE_ENTRY;
-    if buf.len() < table_end {
-        report.defect("store header", None, "file truncated inside the section table");
-        return Err(MedKbError::Validation(report));
-    }
-    let declared = u64::from_le_bytes(buf[16..24].try_into().expect("8-byte chunk"));
-    let table = &buf[HEADER_FIXED..table_end];
-    if xxh64(table, u64::from(version)) != declared {
-        report.defect("store header", None, "section table checksum mismatch");
-        return Err(MedKbError::Validation(report));
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut buf = vec![0; len];
+        self.src
+            .seek(SeekFrom::Start(offset))
+            .and_then(|_| self.src.read_exact(&mut buf))
+            .map_err(|e| read_failed(self.label, e))?;
+        Ok(buf)
     }
 
-    let mut sections = Vec::with_capacity(count);
-    for (i, entry) in table.chunks_exact(TABLE_ENTRY).enumerate() {
-        let name = SECTION_NAMES[i];
+    /// Read and checksum the next section and, while no defect has been
+    /// found, decode it. `None` means a defect is in the report. Its
+    /// declared extent is checked against the source's length before its
+    /// buffer is allocated.
+    fn next<T>(&mut self, decode: impl FnOnce(&[u8]) -> Result<T>) -> Result<Option<T>> {
+        let (i, name) = (self.next, SECTION_NAMES[self.next]);
+        self.next += 1;
+        let entry = &self.table[i * TABLE_ENTRY..(i + 1) * TABLE_ENTRY];
         let id = u32::from_le_bytes(entry[0..4].try_into().expect("chunk"));
-        let offset = u64::from_le_bytes(entry[8..16].try_into().expect("chunk")) as usize;
-        let len = u64::from_le_bytes(entry[16..24].try_into().expect("chunk")) as usize;
+        let offset = u64::from_le_bytes(entry[8..16].try_into().expect("chunk"));
+        let len = u64::from_le_bytes(entry[16..24].try_into().expect("chunk"));
         let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("chunk"));
         if id != SECTION_IDS[i] {
-            report.defect(name, None, format!("section id {id} out of order"));
-            continue;
+            self.report.defect(name, None, format!("section id {id} out of order"));
+            return Ok(None);
         }
         if !offset.is_multiple_of(8) {
-            report.defect(name, None, format!("section offset {offset} not 8-byte aligned"));
-            continue;
+            self.report.defect(name, None, format!("section offset {offset} not 8-byte aligned"));
+            return Ok(None);
         }
-        let Some(payload) = offset.checked_add(len).and_then(|end| buf.get(offset..end)) else {
-            report.defect(name, None, format!("section {offset}+{len} exceeds file size"));
-            continue;
-        };
-        if xxh64(payload, u64::from(id)) != checksum {
-            report.defect(name, None, "section checksum mismatch");
-            continue;
+        if offset.checked_add(len).is_none_or(|end| end > self.len) {
+            self.report.defect(name, None, format!("section {offset}+{len} exceeds file size"));
+            return Ok(None);
         }
-        sections.push(payload);
+        let payload = self.read_at(offset, len as usize)?;
+        if xxh64(&payload, u64::from(id)) != checksum {
+            self.report.defect(name, None, "section checksum mismatch");
+            return Ok(None);
+        }
+        if !self.report.is_empty() {
+            return Ok(None);
+        }
+        match decode(&payload) {
+            Ok(value) => Ok(Some(value)),
+            Err(MedKbError::Validation(found)) => {
+                for d in found.defects() {
+                    self.report.defect(d.document, d.line, d.message.clone());
+                }
+                Ok(None)
+            }
+            Err(other) => Err(other),
+        }
     }
-    if !report.is_empty() {
-        return Err(MedKbError::Validation(report));
-    }
-    Ok(sections)
 }
 
 // ---------------------------------------------------------------- sections
 
-fn enc_ekg(g: &EkgParts) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_ekg(w: &mut SectionWriter<'_>, g: &EkgParts) {
     w.put_u64(g.names.len() as u64);
     w.put_string_column(&g.names);
     w.put_u32_slice(&g.synonym_offsets);
@@ -254,7 +344,6 @@ fn enc_ekg(g: &EkgParts) -> Vec<u8> {
     w.pad8();
     w.put_u32s(g.topo.iter().map(|c| c.raw()));
     w.put_u32_slice(&g.depth);
-    w.finish()
 }
 
 /// Decode the `ekg` section straight into the graph's columns, checking
@@ -350,15 +439,13 @@ fn spans(offsets: &[u32], rows: usize, len: usize) -> bool {
         && offsets.windows(2).all(|w| w[0] <= w[1])
 }
 
-fn enc_contexts(contexts: &[ContextSpec], tag_of: &[ContextTag]) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_contexts(w: &mut SectionWriter<'_>, contexts: &[ContextSpec], tag_of: &[ContextTag]) {
     w.put_u64(contexts.len() as u64);
-    w.put_u32_slice(&contexts.iter().map(|c| c.relationship.raw()).collect::<Vec<u32>>());
-    w.put_u32_slice(&contexts.iter().map(|c| c.domain.raw()).collect::<Vec<u32>>());
-    w.put_u32_slice(&contexts.iter().map(|c| c.range.raw()).collect::<Vec<u32>>());
+    w.put_u32s(contexts.iter().map(|c| c.relationship.raw()));
+    w.put_u32s(contexts.iter().map(|c| c.domain.raw()));
+    w.put_u32s(contexts.iter().map(|c| c.range.raw()));
     w.put_strings(contexts.iter().map(|c| c.label.as_str()));
     w.put_bytes(&tag_of.iter().map(|t| t.index() as u8).collect::<Vec<u8>>());
-    w.finish()
 }
 
 fn dec_contexts(buf: &[u8]) -> Result<(Vec<ContextSpec>, Vec<ContextTag>)> {
@@ -396,8 +483,7 @@ fn dec_contexts(buf: &[u8]) -> Result<(Vec<ContextSpec>, Vec<ContextTag>)> {
     Ok((contexts, tag_of))
 }
 
-fn enc_freqs(parts: &FreqParts) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_freqs(w: &mut SectionWriter<'_>, parts: &FreqParts) {
     w.put_u64(N_TAGS as u64);
     for table in &parts.per_tag {
         w.put_f64_slice(table);
@@ -412,7 +498,6 @@ fn enc_freqs(parts: &FreqParts) -> Vec<u8> {
     w.put_f64_slice(&parts.min_ic_per_tag);
     w.put_f64(parts.min_ic_aggregate);
     w.put_f64(parts.min_intrinsic);
-    w.finish()
 }
 
 fn dec_freqs(buf: &[u8]) -> Result<FreqParts> {
@@ -459,12 +544,10 @@ fn dec_freqs(buf: &[u8]) -> Result<FreqParts> {
     })
 }
 
-fn enc_mappings(mappings: &MappingIndex) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_mappings(w: &mut SectionWriter<'_>, mappings: &MappingIndex) {
     let pairs = mappings.as_slice();
-    w.put_u32_slice(&pairs.iter().map(|(i, _)| i.raw()).collect::<Vec<u32>>());
-    w.put_u32_slice(&pairs.iter().map(|(_, c)| c.raw()).collect::<Vec<u32>>());
-    w.finish()
+    w.put_u32s(pairs.iter().map(|(i, _)| i.raw()));
+    w.put_u32s(pairs.iter().map(|(_, c)| c.raw()));
 }
 
 fn dec_mappings(buf: &[u8]) -> Result<Vec<(InstanceId, ExtConceptId)>> {
@@ -481,12 +564,10 @@ fn dec_mappings(buf: &[u8]) -> Result<Vec<(InstanceId, ExtConceptId)>> {
         .collect())
 }
 
-fn enc_instances(index: &InstanceIndex) -> Vec<u8> {
-    let mut w = SectionWriter::new();
-    w.put_u32_slice(&index.concepts().iter().map(|c| c.raw()).collect::<Vec<u32>>());
+fn enc_instances(w: &mut SectionWriter<'_>, index: &InstanceIndex) {
+    w.put_u32s(index.concepts().iter().map(|c| c.raw()));
     w.put_u32_slice(index.offsets());
-    w.put_u32_slice(&index.instances().iter().map(|i| i.raw()).collect::<Vec<u32>>());
-    w.finish()
+    w.put_u32s(index.instances().iter().map(|i| i.raw()));
 }
 
 fn dec_instances(buf: &[u8]) -> Result<InstanceIndex> {
@@ -503,15 +584,13 @@ fn dec_instances(buf: &[u8]) -> Result<InstanceIndex> {
     Ok(InstanceIndex::from_parts(concepts, offsets, instances))
 }
 
-fn enc_reach(parts: &ReachParts) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_reach(w: &mut SectionWriter<'_>, parts: &ReachParts) {
     w.put_u32_slice(&parts.tin);
     w.put_u32_slice(&parts.tout);
     w.put_u32_slice(&parts.tree_depth);
     w.put_u32_slice(&parts.exc);
     w.put_u32_slice(&parts.set_offsets);
     w.put_u32_slice(&parts.set_members);
-    w.finish()
 }
 
 fn dec_reach(buf: &[u8], n: usize) -> Result<ReachParts> {
@@ -536,8 +615,7 @@ fn dec_reach(buf: &[u8], n: usize) -> Result<ReachParts> {
     Ok(ReachParts { tin, tout, tree_depth, exc, set_offsets, set_members })
 }
 
-fn enc_mapper(parts: &MapperParts) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_mapper(w: &mut SectionWriter<'_>, parts: &MapperParts) {
     let (tag, tau, threshold) = match parts.method {
         MappingMethod::Exact => (0u32, 0u32, 0.0),
         MappingMethod::Edit(tau) => (1, tau, 0.0),
@@ -559,7 +637,6 @@ fn enc_mapper(parts: &MapperParts) -> Vec<u8> {
     }
     w.put_u32_slice(&parts.index_payloads);
     w.put_f32_slice(&parts.index_data);
-    w.finish()
 }
 
 fn dec_mapper(buf: &[u8]) -> Result<MapperParts> {
@@ -606,12 +683,10 @@ fn dec_mapper(buf: &[u8]) -> Result<MapperParts> {
     Ok(MapperParts { method, sif, index_payloads, index_data })
 }
 
-fn enc_meta(out: &IngestOutput) -> Vec<u8> {
-    let mut w = SectionWriter::new();
+fn enc_meta(w: &mut SectionWriter<'_>, out: &IngestOutput) {
     w.put_u64(out.shortcuts_added as u64);
     w.put_u64(out.ekg.len() as u64);
     w.put_u64(out.contexts.len() as u64);
-    w.finish()
 }
 
 fn dec_meta(buf: &[u8], n: usize, m: usize) -> Result<usize> {
@@ -625,4 +700,71 @@ fn dec_meta(buf: &[u8], n: usize, m: usize) -> Result<usize> {
         ));
     }
     Ok(shortcuts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use medkb_core::{ingest, MappingMethod, RelaxConfig};
+    use medkb_corpus::{CorpusConfig, CorpusGenerator, MentionCounts};
+    use medkb_snomed::{MedWorld, WorldConfig};
+
+    /// A seekable in-memory sink that fails once `budget` bytes are spent.
+    struct FailingSink {
+        image: Cursor<Vec<u8>>,
+        budget: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.image.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for FailingSink {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.image.seek(pos)
+        }
+    }
+
+    /// A save whose sink fails part-way, before the sections are out or
+    /// while the header goes in last (where only the final flush sees the
+    /// error), returns that error, and what it wrote never opens.
+    #[test]
+    fn a_failed_save_returns_its_error_and_never_opens() {
+        let world = MedWorld::generate(&WorldConfig::tiny(31));
+        let corpus = CorpusGenerator::new(&world.terminology, &world.oracle)
+            .generate(&CorpusConfig::tiny(32));
+        let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
+        let config = RelaxConfig { mapping: MappingMethod::Exact, ..RelaxConfig::default() };
+        let out = ingest(&world.kb, world.terminology.ekg, &counts, None, &config).unwrap();
+        let image = WorldStore::save_bytes(&out);
+        let head = HEADER_FIXED + SECTION_IDS.len() * TABLE_ENTRY;
+        // The sink sees the image, then the header again.
+        let total = image.len() + head;
+        let step = (image.len() / 101).max(1);
+        let budgets = (0..total).step_by(step).chain(image.len()..total);
+        for budget in budgets {
+            let mut sink = FailingSink { image: Cursor::new(Vec::new()), budget };
+            let saved = save_to(&out, BufWriter::new(&mut sink));
+            assert!(saved.is_err(), "budget {budget} of {total}: the save reported success");
+            let written = sink.image.into_inner();
+            match WorldStore::open_bytes(&written) {
+                Err(MedKbError::Validation(report)) => assert!(!report.is_empty()),
+                other => panic!("budget {budget} of {total}: expected a defect, got {other:?}"),
+            }
+        }
+        let mut sink = FailingSink { image: Cursor::new(Vec::new()), budget: total };
+        assert_eq!(save_to(&out, BufWriter::new(&mut sink)).unwrap(), image.len() as u64);
+        assert_eq!(sink.image.into_inner(), image);
+    }
 }

@@ -34,56 +34,112 @@ fn read_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b[..4].try_into().expect("4-byte read"))
 }
 
+/// An XXH64 hash fed in pieces: [`Xxh64::update`] any number of times,
+/// then [`Xxh64::digest`]. The digest depends only on the concatenated
+/// bytes, not on how they were split, so the store can checksum a section
+/// while it streams it out.
+#[derive(Debug)]
+pub(crate) struct Xxh64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// Bytes of a stripe not yet folded into the lanes.
+    stripe: [u8; 32],
+    buffered: usize,
+    total: u64,
+}
+
+impl Xxh64 {
+    /// An empty hash under `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            seed,
+            lanes: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            stripe: [0; 32],
+            buffered: 0,
+            total: 0,
+        }
+    }
+
+    fn fold(&mut self, stripe: &[u8]) {
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            *lane = round(*lane, read_u64(&stripe[8 * i..]));
+        }
+    }
+
+    /// Append `data` to the hashed bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total += data.len() as u64;
+        if self.buffered > 0 {
+            let take = data.len().min(32 - self.buffered);
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 32 {
+                return;
+            }
+            let stripe = self.stripe;
+            self.fold(&stripe);
+            self.buffered = 0;
+        }
+        while data.len() >= 32 {
+            self.fold(&data[..32]);
+            data = &data[32..];
+        }
+        self.stripe[..data.len()].copy_from_slice(data);
+        self.buffered = data.len();
+    }
+
+    /// The hash of every byte passed to [`Xxh64::update`] so far.
+    pub fn digest(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for v in self.lanes {
+                h = merge_round(h, v);
+            }
+            h
+        } else {
+            self.seed.wrapping_add(P5)
+        };
+        h = h.wrapping_add(self.total);
+        let mut rest = &self.stripe[..self.buffered];
+        while rest.len() >= 8 {
+            h ^= round(0, read_u64(rest));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            h ^= u64::from(read_u32(rest)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h ^= u64::from(b).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^= h >> 32;
+        h
+    }
+}
+
 /// The XXH64 hash of `data` under `seed`.
 pub fn xxh64(data: &[u8], seed: u64) -> u64 {
-    let len = data.len() as u64;
-    let mut rest = data;
-    let mut h: u64;
-    if rest.len() >= 32 {
-        let mut v1 = seed.wrapping_add(P1).wrapping_add(P2);
-        let mut v2 = seed.wrapping_add(P2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(P1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(&rest[0..]));
-            v2 = round(v2, read_u64(&rest[8..]));
-            v3 = round(v3, read_u64(&rest[16..]));
-            v4 = round(v4, read_u64(&rest[24..]));
-            rest = &rest[32..];
-        }
-        h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = merge_round(h, v1);
-        h = merge_round(h, v2);
-        h = merge_round(h, v3);
-        h = merge_round(h, v4);
-    } else {
-        h = seed.wrapping_add(P5);
-    }
-    h = h.wrapping_add(len);
-    while rest.len() >= 8 {
-        h ^= round(0, read_u64(rest));
-        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        rest = &rest[8..];
-    }
-    if rest.len() >= 4 {
-        h ^= u64::from(read_u32(rest)).wrapping_mul(P1);
-        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = &rest[4..];
-    }
-    for &b in rest {
-        h ^= u64::from(b).wrapping_mul(P5);
-        h = h.rotate_left(11).wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^= h >> 32;
-    h
+    let mut h = Xxh64::new(seed);
+    h.update(data);
+    h.digest()
 }
 
 #[cfg(test)]
@@ -106,6 +162,23 @@ mod tests {
             let mut corrupted = base.clone();
             corrupted[i] ^= 0x40;
             assert_ne!(xxh64(&corrupted, 7), h0, "byte {i} did not affect the hash");
+        }
+    }
+
+    /// A hash fed in pieces equals the one-shot hash of the same bytes,
+    /// wherever the pieces split the stripes and tails.
+    #[test]
+    fn split_updates_match_one_shot() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in [0, 1, 31, 32, 33, 64, 77, 200] {
+            let want = xxh64(&data[..len], 9);
+            for piece in 1..=40 {
+                let mut h = Xxh64::new(9);
+                for chunk in data[..len].chunks(piece) {
+                    h.update(chunk);
+                }
+                assert_eq!(h.digest(), want, "{len} bytes in pieces of {piece}");
+            }
         }
     }
 

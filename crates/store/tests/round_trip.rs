@@ -7,6 +7,7 @@
 //! the file must come back as a `Validation` error, never a panic or a
 //! silently different world.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use medkb_core::{ingest, IngestOutput, MappingMethod, RelaxConfig};
@@ -73,18 +74,42 @@ fn file_round_trip_through_disk() {
     assert_same_world(&out, &reopened);
 }
 
+/// A scratch file for `test`, removed when dropped.
+struct ScratchFile(PathBuf);
+
+impl ScratchFile {
+    fn new(test: &str) -> Self {
+        Self(std::env::temp_dir().join(format!("medkb-store-{test}-{}.bin", std::process::id())))
+    }
+
+    /// Both ways of opening `bytes`: from memory, and from this file.
+    fn open_both(&self, bytes: &[u8]) -> [medkb_types::Result<IngestOutput>; 2] {
+        std::fs::write(&self.0, bytes).unwrap();
+        [WorldStore::open_bytes(bytes), WorldStore::open(&self.0)]
+    }
+}
+
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[test]
 fn truncated_file_is_rejected_at_every_length() {
     let out = tiny_world(14, MappingMethod::Exact);
     let bytes = WorldStore::save_bytes(&out);
+    let file = ScratchFile::new("truncated");
     // Sample truncation points across the whole file, including the
     // header, the section table, and mid-section cuts.
     let step = (bytes.len() / 97).max(1);
     for cut in (0..bytes.len()).step_by(step) {
-        match WorldStore::open_bytes(&bytes[..cut]) {
-            Err(MedKbError::Validation(report)) => assert!(!report.is_empty()),
-            Err(other) => panic!("cut {cut}: unexpected error kind {other:?}"),
-            Ok(_) => panic!("cut {cut}: truncated file opened successfully"),
+        for opened in file.open_both(&bytes[..cut]) {
+            match opened {
+                Err(MedKbError::Validation(report)) => assert!(!report.is_empty()),
+                Err(other) => panic!("cut {cut}: unexpected error kind {other:?}"),
+                Ok(_) => panic!("cut {cut}: truncated file opened successfully"),
+            }
         }
     }
 }
@@ -93,14 +118,48 @@ fn truncated_file_is_rejected_at_every_length() {
 fn flipped_byte_is_rejected_everywhere() {
     let out = tiny_world(15, MappingMethod::Exact);
     let bytes = WorldStore::save_bytes(&out);
+    let file = ScratchFile::new("flipped");
     let step = (bytes.len() / 211).max(1);
     for at in (0..bytes.len()).step_by(step) {
         let mut corrupted = bytes.clone();
         corrupted[at] ^= 0x20;
-        match WorldStore::open_bytes(&corrupted) {
-            Err(MedKbError::Validation(report)) => assert!(!report.is_empty()),
-            Err(other) => panic!("byte {at}: unexpected error kind {other:?}"),
-            Ok(_) => panic!("byte {at}: corrupted file opened successfully"),
+        for opened in file.open_both(&corrupted) {
+            match opened {
+                Err(MedKbError::Validation(report)) => assert!(!report.is_empty()),
+                Err(other) => panic!("byte {at}: unexpected error kind {other:?}"),
+                Ok(_) => panic!("byte {at}: corrupted file opened successfully"),
+            }
+        }
+    }
+}
+
+/// A checksum-valid table that declares a section reaching past the end of
+/// the file is a defect naming that section, found before any buffer for
+/// it is allocated (a length near `u64::MAX` must not overflow the check).
+#[test]
+fn section_longer_than_the_file_is_rejected() {
+    let out = tiny_world(22, MappingMethod::Exact);
+    let clean = WorldStore::save_bytes(&out);
+    let file = ScratchFile::new("overlong");
+    for (section, name) in [(0, "ekg"), (2, "freqs"), (7, "meta")] {
+        let len_at = 24 + section * 32 + 16;
+        let offset = le_u64(&clean, len_at - 8) as u64;
+        for len in [clean.len() as u64 - offset + 8, u64::MAX - 3] {
+            let mut bytes = clean.clone();
+            bytes[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+            reseal_table(&mut bytes);
+            for opened in file.open_both(&bytes) {
+                match opened {
+                    Err(MedKbError::Validation(report)) => assert!(
+                        report
+                            .defects()
+                            .iter()
+                            .any(|d| d.document == name && d.message.contains("exceeds file size")),
+                        "{name} declared {len} bytes: {report}"
+                    ),
+                    other => panic!("{name} declared {len} bytes: expected a defect: {other:?}"),
+                }
+            }
         }
     }
 }
@@ -164,6 +223,12 @@ fn reseal(bytes: &mut [u8]) {
         let sum = xxh64(&bytes[offset..offset + len], u64::from(id));
         bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
     }
+    reseal_table(bytes);
+}
+
+/// Recompute the section-table checksum alone.
+fn reseal_table(bytes: &mut [u8]) {
+    let count = le_u32(bytes, 12) as usize;
     let sum = xxh64(&bytes[24..24 + count * 32], u64::from(le_u32(bytes, 8)));
     bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }

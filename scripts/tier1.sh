@@ -41,6 +41,12 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 # band — this keeps tier-1 fast while still catching gross divergence.
 cargo test -q -p medkb-fuzz smoke
 
+# The two tests where a delta's output meets the store: apply commutes
+# with a save/open round trip, and a version-bumped image is a typed
+# validation error (~0.01 s in the dev profile).
+cargo test -q -p medkb-fuzz --test delta_differential -- --exact \
+    store_round_trip_commutes_with_delta_apply mismatched_store_version_is_a_validation_error
+
 # No test may be #[ignore]d without a tracking comment on the same line
 # (e.g. `#[ignore] // tracked: <reason/issue>`). Silent skips rot.
 if grep -rn '#\[ignore\]' --include='*.rs' tests/ crates/ src/ 2>/dev/null \
