@@ -1,10 +1,12 @@
 //! Phase timing for scaled world generation (`--world-scale N`).
 //!
-//! Splits the cost of building a benchmark world into its public phases —
-//! terminology generation, oracle derivation, full world assembly, corpus
-//! generation — so superlinear growth at SNOMED scale is attributable to a
-//! phase instead of one opaque wall-clock number (EXPERIMENTS.md, 350k
-//! scaling tables):
+//! Splits the cost of building the benchmark world of
+//! `scaled_world_and_corpus` into its stages — terminology generation,
+//! oracle derivation, KB assembly, corpus generation — each timed once, so
+//! superlinear growth at SNOMED scale is attributable to a stage instead
+//! of one opaque wall-clock number (EXPERIMENTS.md, 350k scaling tables).
+//! The last line is the world's digest (`world_digest`), which a change
+//! meant to keep the world must leave unchanged:
 //!
 //! ```text
 //! cargo run --release -p medkb-bench --bin world_profile -- --world-scale 350000
@@ -12,53 +14,32 @@
 
 use std::time::Instant;
 
-use medkb_bench::world_scale_from_args;
-use medkb_corpus::{CorpusConfig, CorpusGenerator};
-use medkb_snomed::{GeneratedTerminology, MedWorld, Oracle, SnomedConfig, WorldConfig};
+use medkb_bench::{scaled_world_config, world_digest, world_scale_from_args};
+use medkb_corpus::CorpusGenerator;
+use medkb_snomed::{GeneratedTerminology, MedWorld, Oracle};
 
 fn main() {
-    let concepts = world_scale_from_args();
-    let f = (concepts as f64 / 4_000.0).sqrt();
-    let scaled = |base: usize| -> usize { ((base as f64) * f).round() as usize };
-    let snomed = SnomedConfig {
-        concepts,
-        seed: 52,
-        max_depth: if concepts > 100_000 { 20 } else { SnomedConfig::default().max_depth },
-        ..SnomedConfig::default()
-    };
+    let (config, corpus_config) = scaled_world_config(world_scale_from_args());
 
     let t = Instant::now();
-    let term = GeneratedTerminology::generate(&snomed);
-    let term_s = t.elapsed().as_secs_f64();
-    println!("terminology_s: {term_s:.2}  ({} concepts)", term.ekg.len());
+    let term = GeneratedTerminology::generate(&config.snomed);
+    println!("terminology_s: {:.2}  ({} concepts)", t.elapsed().as_secs_f64(), term.ekg.len());
 
     let t = Instant::now();
-    let _oracle = Oracle::derive(&term, 53 ^ 0x0BAC_1E5E);
-    let oracle_s = t.elapsed().as_secs_f64();
-    println!("oracle_s: {oracle_s:.2}");
-    drop(term);
+    let oracle = Oracle::derive(&term, config.oracle_seed());
+    println!("oracle_s: {:.2}", t.elapsed().as_secs_f64());
 
-    let config = WorldConfig {
-        snomed,
-        seed: 53,
-        finding_instances: scaled(900),
-        drug_instances: scaled(200),
-        ..WorldConfig::default()
-    };
     let t = Instant::now();
-    let world = MedWorld::generate(&config);
-    let world_s = t.elapsed().as_secs_f64();
+    let world = MedWorld::assemble(term, oracle, &config);
     println!(
-        "world_s: {world_s:.2}  (kb_assembly_s: {:.2}, {} instances)",
-        world_s - term_s - oracle_s,
+        "kb_assembly_s: {:.2}  ({} instances)",
+        t.elapsed().as_secs_f64(),
         world.kb.instance_count()
     );
 
     let t = Instant::now();
-    let corpus = CorpusGenerator::new(&world.terminology, &world.oracle).generate(&CorpusConfig {
-        seed: 54,
-        docs: scaled(250),
-        ..CorpusConfig::default()
-    });
+    let corpus = CorpusGenerator::new(&world.terminology, &world.oracle).generate(&corpus_config);
     println!("corpus_s: {:.2}  ({} docs)", t.elapsed().as_secs_f64(), corpus.len());
+
+    println!("digest: {:#018x}", world_digest(&world, &corpus));
 }

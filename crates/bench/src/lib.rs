@@ -15,10 +15,10 @@
 #![warn(missing_docs)]
 
 use medkb_core::{ingest, MappingMethod, ObsConfig, QueryRelaxer, RelaxConfig};
-use medkb_corpus::{CorpusConfig, CorpusGenerator, MentionCounts};
+use medkb_corpus::{Corpus, CorpusConfig, CorpusGenerator, MentionCounts};
 use medkb_eval::pipeline::{EvalConfig, EvalStack};
 use medkb_snomed::{Hierarchy, MedWorld, SnomedConfig, WorldConfig};
-use medkb_types::{ContextId, ExtConceptId};
+use medkb_types::{ContextId, ExtConceptId, Id};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +91,7 @@ pub struct RelaxBenchWorld {
 /// curation corpus, before mention counting. The ingestion benchmark
 /// (`bench_json --ingest`) times counting and ingestion itself, so it needs
 /// the pieces; `relaxation_bench_world` assembles them.
-pub fn bench_world_and_corpus() -> (MedWorld, medkb_corpus::Corpus) {
+pub fn bench_world_and_corpus() -> (MedWorld, Corpus) {
     scaled_world_and_corpus(4_000)
 }
 
@@ -129,7 +129,16 @@ pub fn world_scale_from_args() -> usize {
 /// 87×-larger graph the scale run is about. Worlds above 100k concepts
 /// deepen the hierarchy cap to 20 levels (SNOMED's long modifier chains);
 /// the branching factor stays in the SNOMED-like single digits.
-pub fn scaled_world_and_corpus(concepts: usize) -> (MedWorld, medkb_corpus::Corpus) {
+pub fn scaled_world_and_corpus(concepts: usize) -> (MedWorld, Corpus) {
+    let (config, corpus_config) = scaled_world_config(concepts);
+    let world = MedWorld::generate(&config);
+    let corpus = CorpusGenerator::new(&world.terminology, &world.oracle).generate(&corpus_config);
+    (world, corpus)
+}
+
+/// The world and corpus configurations [`scaled_world_and_corpus`]
+/// generates from at `concepts` concepts.
+pub fn scaled_world_config(concepts: usize) -> (WorldConfig, CorpusConfig) {
     let f = (concepts as f64 / 4_000.0).sqrt();
     let scaled = |base: usize| -> usize { ((base as f64) * f).round() as usize };
     let config = WorldConfig {
@@ -144,13 +153,83 @@ pub fn scaled_world_and_corpus(concepts: usize) -> (MedWorld, medkb_corpus::Corp
         drug_instances: scaled(200),
         ..WorldConfig::default()
     };
-    let world = MedWorld::generate(&config);
-    let corpus = CorpusGenerator::new(&world.terminology, &world.oracle).generate(&CorpusConfig {
-        seed: 54,
-        docs: scaled(250),
-        ..CorpusConfig::default()
-    });
-    (world, corpus)
+    let corpus = CorpusConfig { seed: 54, docs: scaled(250), ..CorpusConfig::default() };
+    (config, corpus)
+}
+
+/// A 64-bit FNV-1a digest of a generated world and its corpus: every
+/// concept's name, parent list and synonyms, every bit of its
+/// `ConceptMeta`, each KB instance's name, ontology concept and gold
+/// origin, the triple count, and the corpus vocabulary, sentence tags and
+/// tokens. `tests/world_digest.rs` pins it for the 4k and 20k worlds, so a
+/// generator change that alters the world fails there; `world_profile`
+/// prints it at any scale.
+pub fn world_digest(world: &MedWorld, corpus: &Corpus) -> u64 {
+    struct Fnv(u64);
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        fn u64(&mut self, v: u64) {
+            self.bytes(&v.to_le_bytes());
+        }
+        fn str(&mut self, s: &str) {
+            self.u64(s.len() as u64);
+            self.bytes(s.as_bytes());
+        }
+        fn id(&mut self, id: Option<u32>) {
+            self.u64(id.map_or(u64::MAX, u64::from));
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (ekg, meta) = (&world.terminology.ekg, &world.terminology.meta);
+    h.u64(ekg.len() as u64);
+    for c in ekg.concepts() {
+        h.str(ekg.name(c));
+        let parents = ekg.parents(c).targets();
+        h.u64(parents.len() as u64);
+        for p in parents {
+            h.id(Some(p.as_u32()));
+        }
+        h.u64(ekg.synonyms(c).count() as u64);
+        for syn in ekg.synonyms(c) {
+            h.str(syn);
+        }
+        let m = &meta[c];
+        h.u64(m.hierarchy as u64);
+        for x in m.latent {
+            h.u64(u64::from(x.to_bits()));
+        }
+        h.u64(m.popularity.to_bits());
+        h.id(m.antonym_of.map(Id::as_u32));
+    }
+    h.u64(world.kb.instance_count() as u64);
+    for (id, inst) in world.kb.instances() {
+        h.str(&inst.name);
+        h.id(Some(inst.concept.as_u32()));
+        let origin = world.origins[id];
+        h.id(origin.concept.map(Id::as_u32));
+        h.u64(origin.shape as u64);
+    }
+    h.u64(world.kb.triple_count() as u64);
+    h.u64(corpus.vocab.len() as u64);
+    for (_, token) in corpus.vocab.iter() {
+        h.str(token);
+    }
+    h.u64(corpus.docs.len() as u64);
+    for doc in &corpus.docs {
+        h.u64(doc.sentences.len() as u64);
+        for sentence in &doc.sentences {
+            h.u64(sentence.tag.index() as u64);
+            h.u64(sentence.tokens.len() as u64);
+            for t in &sentence.tokens {
+                h.id(Some(t.as_u32()));
+            }
+        }
+    }
+    h.0
 }
 
 /// A Zipf-skewed query stream of length `len` over `queries`: the rank-`r`

@@ -266,16 +266,17 @@ impl DeltaEngine {
         sif: Option<Arc<SifModel>>,
         config: RelaxConfig,
     ) -> Result<Self> {
-        let threads = config.parallel.effective_threads();
-        let counts = MentionCounts::count_with_threads(&corpus, &ekg, threads);
+        let (counts, trie) = count_fresh(&corpus, &ekg, config.parallel.effective_threads());
         let out = ingest(&kb, ekg.clone(), &counts, sif.clone(), &config)?;
-        Ok(Self::assemble(kb, corpus, ekg, sif, config, counts, out))
+        Ok(Self::assemble(kb, corpus, ekg, sif, config, (counts, trie), out))
     }
 
     /// Adopt a store-opened (or otherwise prebuilt) [`IngestOutput`]
     /// instead of re-running the full ingest. `ekg` must be the native
     /// (shortcut-free) graph `out` was built from; counts and raw
     /// frequency state are recomputed deterministically from the inputs.
+    /// One name trie serves both: the counts are taken through the
+    /// [`CountTrie`] the engine then keeps for delta recounts.
     pub fn from_opened(
         kb: Kb,
         corpus: Corpus,
@@ -284,9 +285,8 @@ impl DeltaEngine {
         config: RelaxConfig,
         out: IngestOutput,
     ) -> Self {
-        let threads = config.parallel.effective_threads();
-        let counts = MentionCounts::count_with_threads(&corpus, &ekg, threads);
-        Self::assemble(kb, corpus, ekg, sif, config, counts, out)
+        let counted = count_fresh(&corpus, &ekg, config.parallel.effective_threads());
+        Self::assemble(kb, corpus, ekg, sif, config, counted, out)
     }
 
     fn assemble(
@@ -295,17 +295,15 @@ impl DeltaEngine {
         ekg: Ekg,
         sif: Option<Arc<SifModel>>,
         config: RelaxConfig,
-        counts: MentionCounts,
+        (counts, trie): (MentionCounts, CountTrie),
         out: IngestOutput,
     ) -> Self {
-        let threads = config.parallel.effective_threads();
-        let trie = CountTrie::build(&ekg, &corpus.vocab);
         let raw = RawFrequencies::compute(
             &ekg,
             &counts,
             config.frequency_mode,
             config.use_tfidf,
-            threads,
+            config.parallel.effective_threads(),
         );
         let pairs = out.mappings.as_slice().to_vec();
         Self { kb, corpus, ekg, sif, config, counts, trie, raw, pairs, out }
@@ -602,16 +600,15 @@ impl DeltaEngine {
         let n_docs_changed = dirty.docs_added.len() != dirty.docs_removed.len();
         let mut touched_direct: HashSet<ExtConceptId> = HashSet::new();
         if counts_full {
-            self.counts = MentionCounts::count_with_threads(&self.corpus, &self.ekg, threads);
-            self.trie = CountTrie::build(&self.ekg, &self.corpus.vocab);
+            (self.counts, self.trie) = count_fresh(&self.corpus, &self.ekg, threads);
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::FULL_RECOUNTS).inc();
             }
         } else if docs_churned {
             // Add before remove: a document added and removed by the same
             // delta must be counted in before it is un-counted.
-            touched_direct.extend(self.counts.add_docs(&mut self.trie, &dirty.docs_added));
-            touched_direct.extend(self.counts.remove_docs(&mut self.trie, &dirty.docs_removed));
+            touched_direct.extend(self.counts.add_docs(&self.trie, &dirty.docs_added));
+            touched_direct.extend(self.counts.remove_docs(&self.trie, &dirty.docs_removed));
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::DOCS_RECOUNTED)
                     .add((dirty.docs_added.len() + dirty.docs_removed.len()) as u64);
@@ -748,6 +745,14 @@ impl DeltaEngine {
             }
         }
     }
+}
+
+/// Count `corpus` through a fresh name trie over `ekg`, returned with the
+/// counts: the engine keeps it for incremental recounts, so one trie build
+/// serves both.
+fn count_fresh(corpus: &Corpus, ekg: &Ekg, threads: usize) -> (MentionCounts, CountTrie) {
+    let trie = CountTrie::build(ekg, &corpus.vocab);
+    (MentionCounts::count_with_trie(corpus, &trie, threads), trie)
 }
 
 impl DirtyState {

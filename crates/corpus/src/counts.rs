@@ -45,11 +45,7 @@ impl MentionCounts {
     /// do not double-count ("chronic kidney disease" counts once, not also
     /// as "kidney disease").
     pub fn count(corpus: &Corpus, ekg: &Ekg) -> Self {
-        let trie = TokenTrie::build(ekg, &corpus.vocab);
-        let mut direct: HashMap<ExtConceptId, [u64; N_TAGS]> = HashMap::new();
-        let mut doc_freq: HashMap<ExtConceptId, u32> = HashMap::new();
-        count_docs(&trie, &corpus.docs, &mut direct, &mut doc_freq);
-        Self { direct, doc_freq, n_docs: corpus.len() }
+        Self::count_through(&TokenTrie::build(ekg, &corpus.vocab), corpus, 1)
     }
 
     /// Parallel [`MentionCounts::count`]: the document list is split into
@@ -76,7 +72,7 @@ impl MentionCounts {
         let timer = obs.map(|reg| reg.latency(obs_names::COUNT_US));
         let out = {
             let _span = timer.as_deref().map(|h| h.time());
-            Self::count_with_threads_inner(corpus, ekg, threads)
+            Self::count_through(&TokenTrie::build(ekg, &corpus.vocab), corpus, threads)
         };
         if let Some(reg) = obs {
             reg.counter(obs_names::DOCS_SCANNED).add(corpus.len() as u64);
@@ -85,20 +81,30 @@ impl MentionCounts {
         out
     }
 
-    fn count_with_threads_inner(corpus: &Corpus, ekg: &Ekg, threads: usize) -> Self {
+    /// [`MentionCounts::count_with_threads`] through an already built
+    /// [`CountTrie`] instead of a fresh one, so a caller that keeps the
+    /// trie for incremental recounts builds it once. The trie must be
+    /// valid for `corpus.vocab` ([`CountTrie::build`] over the same graph,
+    /// then [`CountTrie::validate`] as the vocabulary grows); the counts
+    /// are then exactly [`MentionCounts::count_with_threads`]'s.
+    pub fn count_with_trie(corpus: &Corpus, trie: &CountTrie, threads: usize) -> Self {
+        Self::count_through(&trie.trie, corpus, threads)
+    }
+
+    fn count_through(trie: &TokenTrie, corpus: &Corpus, threads: usize) -> Self {
+        let mut direct: HashMap<ExtConceptId, [u64; N_TAGS]> = HashMap::new();
+        let mut doc_freq: HashMap<ExtConceptId, u32> = HashMap::new();
         if threads <= 1 || corpus.docs.len() < 2 {
-            return Self::count(corpus, ekg);
+            count_docs(trie, &corpus.docs, &mut direct, &mut doc_freq);
+            return Self { direct, doc_freq, n_docs: corpus.len() };
         }
-        let trie = TokenTrie::build(ekg, &corpus.vocab);
         // Each worker counts its chunk into private partial tables.
         let partials = par::shard_chunks(corpus.docs.len(), threads, |r| {
             let mut direct = HashMap::new();
             let mut doc_freq = HashMap::new();
-            count_docs(&trie, &corpus.docs[r], &mut direct, &mut doc_freq);
+            count_docs(trie, &corpus.docs[r], &mut direct, &mut doc_freq);
             (direct, doc_freq)
         });
-        let mut direct: HashMap<ExtConceptId, [u64; N_TAGS]> = HashMap::new();
-        let mut doc_freq: HashMap<ExtConceptId, u32> = HashMap::new();
         for (part_direct, part_df) in partials {
             for (c, tags) in part_direct {
                 let slot = direct.entry(c).or_insert([0; N_TAGS]);
@@ -179,7 +185,7 @@ impl MentionCounts {
     /// dirty-direct set for the frequency patch).
     pub fn add_docs(
         &mut self,
-        trie: &mut CountTrie,
+        trie: &CountTrie,
         docs: &[crate::model::Document],
     ) -> Vec<ExtConceptId> {
         let (direct, doc_freq) = trie.count_partial(docs);
@@ -206,7 +212,7 @@ impl MentionCounts {
     /// counted into `self`. Returns the touched concepts.
     pub fn remove_docs(
         &mut self,
-        trie: &mut CountTrie,
+        trie: &CountTrie,
         docs: &[crate::model::Document],
     ) -> Vec<ExtConceptId> {
         let (direct, doc_freq) = trie.count_partial(docs);
@@ -270,8 +276,8 @@ impl MentionCounts {
 ///   later).
 ///
 /// New vocabulary tokens that are not in the OOV set cannot appear in any
-/// name phrase's reachable prefix, so extending the root array with
-/// "no transition" slots reproduces the fresh build exactly.
+/// name phrase's reachable prefix, so scanning them as tokens without a
+/// transition reproduces the fresh build exactly.
 #[derive(Debug)]
 pub struct CountTrie {
     trie: TokenTrie,
@@ -312,21 +318,9 @@ impl CountTrie {
     /// Count `docs` into fresh partial tables (used by the ± merges of
     /// [`MentionCounts::add_docs`] / [`MentionCounts::remove_docs`]).
     fn count_partial(
-        &mut self,
+        &self,
         docs: &[crate::model::Document],
     ) -> (HashMap<ExtConceptId, [u64; N_TAGS]>, HashMap<ExtConceptId, u32>) {
-        // Tokens interned after the build index past the root array; they
-        // have no transitions, so grow it with explicit "none" slots.
-        let max_tok = docs
-            .iter()
-            .flat_map(|d| &d.sentences)
-            .flat_map(|s| &s.tokens)
-            .map(|t| t.raw() as usize + 1)
-            .max()
-            .unwrap_or(0);
-        if max_tok > self.trie.root.len() {
-            self.trie.root.resize(max_tok, NO_NODE);
-        }
         let mut direct = HashMap::new();
         let mut doc_freq = HashMap::new();
         count_docs(&self.trie, docs, &mut direct, &mut doc_freq);
@@ -362,12 +356,14 @@ const NO_NODE: u32 = u32::MAX;
 
 /// Longest-match trie over token-id sequences, laid out for scanning: the
 /// root level (hit once per sentence position) is a direct-indexed array
-/// over the corpus vocabulary, deeper levels are token-sorted slices
+/// over the corpus vocabulary at build time (tokens interned later index
+/// past it and have no transition), deeper levels are token-sorted slices
 /// searched by binary search. Matching semantics are identical to
 /// [`ReferenceTrie`] — same longest match, same first-writer-wins terminal.
 #[derive(Debug)]
 struct TokenTrie {
-    /// Vocab token id → first-level node, or [`NO_NODE`].
+    /// Vocab token id → first-level node, or [`NO_NODE`]; ids past the
+    /// end have no transition either.
     root: Vec<u32>,
     nodes: Vec<TrieNode>,
 }
@@ -500,7 +496,7 @@ impl TokenTrie {
     fn scan_into(&self, tokens: &[TokenId], mut hit: impl FnMut(ExtConceptId)) {
         let mut i = 0;
         while i < tokens.len() {
-            let first = self.root[tokens[i].raw() as usize];
+            let first = self.root.get(tokens[i].raw() as usize).copied().unwrap_or(NO_NODE);
             if first == NO_NODE {
                 i += 1;
                 continue;
@@ -761,8 +757,11 @@ mod tests {
             corpus.docs.push(Document { sentences: vec![s] });
         }
         let seq = MentionCounts::count(&corpus, &ekg);
-        for threads in [2, 4, 8] {
-            assert_eq!(MentionCounts::count_with_threads(&corpus, &ekg, threads), seq);
+        let trie = CountTrie::build(&ekg, &corpus.vocab);
+        for threads in [1, 2, 4, 8] {
+            let par = MentionCounts::count_with_threads(&corpus, &ekg, threads);
+            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(MentionCounts::count_with_trie(&corpus, &trie, threads), par);
         }
     }
 
@@ -814,12 +813,14 @@ mod tests {
         let doc = Document { sentences: vec![s] };
         corpus.docs.push(doc.clone());
         assert!(trie.validate(&corpus.vocab), "benign new token must keep trie valid");
-        counts.add_docs(&mut trie, std::slice::from_ref(&doc));
+        counts.add_docs(&trie, std::slice::from_ref(&doc));
         assert_eq!(counts, MentionCounts::count(&corpus, &ekg));
+        // The validated trie also counts the grown corpus from scratch.
+        assert_eq!(MentionCounts::count_with_trie(&corpus, &trie, 2), counts);
 
         // Remove the first original document; zeroed rows must disappear.
         let removed = corpus.docs.remove(0);
-        counts.remove_docs(&mut trie, std::slice::from_ref(&removed));
+        counts.remove_docs(&trie, std::slice::from_ref(&removed));
         assert_eq!(counts, MentionCounts::count(&corpus, &ekg));
     }
 

@@ -98,6 +98,11 @@ impl WorldConfig {
         }
     }
 
+    /// Seed of the world's relevance oracle (derived from `seed`).
+    pub fn oracle_seed(&self) -> u64 {
+        self.seed ^ 0x0BAC_1E5E
+    }
+
     /// Fraction of instances that are deliberately unmappable.
     pub fn unmappable_rate(&self) -> f64 {
         (1.0 - self.exact_name_rate - self.typo_name_rate - self.reword_name_rate).max(0.0)

@@ -130,6 +130,9 @@ struct Generator<'a> {
     config: &'a SnomedConfig,
     rng: StdRng,
     used_names: std::collections::HashSet<String>,
+    /// Per colliding base name, the `k` at which [`Generator::claim_name`]
+    /// resumes probing `"{base} type {k}"`: every suffix below it is taken.
+    next_suffix: std::collections::HashMap<String, u32>,
     /// Ground-truth semantic component vectors: a finding *means* its
     /// anatomical site plus its pathology plus its modifiers. Taxonomy,
     /// names, and corpus co-mentions are all (noisy) views of this one
@@ -161,6 +164,7 @@ impl<'a> Generator<'a> {
             config,
             rng,
             used_names: std::collections::HashSet::new(),
+            next_suffix: std::collections::HashMap::new(),
             organ_vecs,
             condition_vecs,
             modifier_vecs,
@@ -196,17 +200,24 @@ impl<'a> Generator<'a> {
         v
     }
 
+    /// `base` if it is free, else the first free `"{base} type {k}"` for
+    /// `k ≥ 2`. `used_names` never loses an entry, so every suffix below
+    /// the base's cursor stays taken and probing resumes there: the same
+    /// name as probing from 2, without re-probing the taken run.
     fn claim_name(&mut self, base: String) -> String {
         if self.used_names.insert(base.clone()) {
             return base;
         }
-        for k in 2.. {
+        let mut k = self.next_suffix.get(&base).copied().unwrap_or(2);
+        let name = loop {
             let candidate = format!("{base} type {k}");
+            k += 1;
             if self.used_names.insert(candidate.clone()) {
-                return candidate;
+                break candidate;
             }
-        }
-        unreachable!()
+        };
+        self.next_suffix.insert(base, k);
+        name
     }
 
     fn run(mut self) -> GeneratedTerminology {
@@ -698,6 +709,35 @@ mod tests {
                 t.ekg.name(b)
             );
         }
+    }
+
+    /// The probe `claim_name` replaced: every suffix from 2, every time.
+    fn probe_from_two(used: &mut std::collections::HashSet<String>, base: &str) -> String {
+        if used.insert(base.to_string()) {
+            return base.to_string();
+        }
+        (2..)
+            .map(|k| format!("{base} type {k}"))
+            .find(|c| used.insert(c.clone()))
+            .expect("suffixes are unbounded")
+    }
+
+    #[test]
+    fn claim_name_matches_the_linear_probe() {
+        let config = SnomedConfig::tiny(1);
+        let mut g = Generator::new(&config);
+        let mut used = std::collections::HashSet::new();
+        // Suffixed names claimed directly, below and above a base's cursor,
+        // and suffixed names that collide as bases of their own.
+        let claims = [
+            "x type 3", "x", "x", "x", "x", "y", "x type 6", "x", "x type 2", "y", "y type 2",
+            "y", "x type 2",
+        ];
+        let got: Vec<String> = claims.iter().map(|&b| g.claim_name(b.to_string())).collect();
+        let want: Vec<String> = claims.iter().map(|&b| probe_from_two(&mut used, b)).collect();
+        assert_eq!(got, want);
+        assert_eq!(got[1..5], ["x", "x type 2", "x type 4", "x type 5"]);
+        assert_eq!(got[7], "x type 7");
     }
 
     #[test]

@@ -76,10 +76,20 @@ pub struct MedWorld {
 }
 
 impl MedWorld {
-    /// Generate a world from `config`.
+    /// Generate a world from `config`: the terminology, its oracle, then
+    /// [`MedWorld::assemble`].
     pub fn generate(config: &WorldConfig) -> Self {
         let terminology = GeneratedTerminology::generate(&config.snomed);
-        let oracle = Oracle::derive(&terminology, config.seed ^ 0x0BAC_1E5E);
+        let oracle = Oracle::derive(&terminology, config.oracle_seed());
+        Self::assemble(terminology, oracle, config)
+    }
+
+    /// The last step of [`MedWorld::generate`]: sample KB instances from
+    /// `terminology`, perturb their names, and add the relation triples.
+    /// Given the terminology generated from `config.snomed` and the oracle
+    /// derived from it with [`WorldConfig::oracle_seed`], this builds
+    /// exactly the world `generate` does.
+    pub fn assemble(terminology: GeneratedTerminology, oracle: Oracle, config: &WorldConfig) -> Self {
         let ontology = med_ontology();
         let contexts = generate_contexts(&ontology);
         let context_tags: HashMap<ContextId, ContextTag> = contexts
@@ -327,6 +337,10 @@ impl MedWorld {
 
 /// Sample `n` distinct items from `pool` with probability proportional to
 /// `weight`, via repeated weighted draws with rejection.
+///
+/// The weights are read once per call into one contiguous slice that every
+/// draw walks in pool order, so a draw is a sequential scan rather than a
+/// call to `weight` per element.
 fn weighted_sample<F: Fn(ExtConceptId) -> f64>(
     rng: &mut StdRng,
     pool: &[ExtConceptId],
@@ -336,7 +350,8 @@ fn weighted_sample<F: Fn(ExtConceptId) -> f64>(
     if pool.is_empty() {
         return Vec::new();
     }
-    let total: f64 = pool.iter().map(|&c| weight(c)).sum();
+    let weights: Vec<f64> = pool.iter().map(|&c| weight(c)).collect();
+    let total: f64 = weights.iter().sum();
     let mut chosen: HashSet<ExtConceptId> = HashSet::new();
     let mut out = Vec::new();
     let budget = n.min(pool.len());
@@ -344,16 +359,15 @@ fn weighted_sample<F: Fn(ExtConceptId) -> f64>(
     while out.len() < budget && attempts < n * 40 + 100 {
         attempts += 1;
         let mut target = rng.gen::<f64>() * total;
-        let mut pick = pool[pool.len() - 1];
-        for &c in pool {
-            target -= weight(c);
-            if target <= 0.0 {
-                pick = c;
-                break;
-            }
-        }
-        if chosen.insert(pick) {
-            out.push(pick);
+        let at = weights
+            .iter()
+            .position(|&w| {
+                target -= w;
+                target <= 0.0
+            })
+            .unwrap_or(pool.len() - 1);
+        if chosen.insert(pool[at]) {
+            out.push(pool[at]);
         }
     }
     // Fill up uniformly if rejection stalled on a heavy head.
@@ -474,6 +488,87 @@ mod tests {
     fn unrepresented_findings_exist() {
         let w = tiny_world();
         assert!(!w.unrepresented_findings().is_empty());
+    }
+
+    /// The walk `weighted_sample` replaced: every draw reads each weight
+    /// through the closure.
+    fn sample_reading_each_weight<F: Fn(ExtConceptId) -> f64>(
+        rng: &mut StdRng,
+        pool: &[ExtConceptId],
+        weight: F,
+        n: usize,
+    ) -> Vec<ExtConceptId> {
+        if pool.is_empty() {
+            return Vec::new();
+        }
+        let total: f64 = pool.iter().map(|&c| weight(c)).sum();
+        let mut chosen: HashSet<ExtConceptId> = HashSet::new();
+        let mut out = Vec::new();
+        let budget = n.min(pool.len());
+        let mut attempts = 0usize;
+        while out.len() < budget && attempts < n * 40 + 100 {
+            attempts += 1;
+            let mut target = rng.gen::<f64>() * total;
+            let mut pick = pool[pool.len() - 1];
+            for &c in pool {
+                target -= weight(c);
+                if target <= 0.0 {
+                    pick = c;
+                    break;
+                }
+            }
+            if chosen.insert(pick) {
+                out.push(pick);
+            }
+        }
+        if out.len() < budget {
+            for &c in pool {
+                if out.len() >= budget {
+                    break;
+                }
+                if chosen.insert(c) {
+                    out.push(c);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn weighted_sample_picks_what_the_closure_walk_picks() {
+        use medkb_types::Id;
+        let pool: Vec<ExtConceptId> =
+            (0..300).map(|i| ExtConceptId::from_usize((i * 7) % 300)).collect();
+        let zipf = |c: ExtConceptId| 1.0 / ((c.as_usize() + 1) as f64).powf(0.9);
+        let with_zeros =
+            |c: ExtConceptId| if c.as_usize().is_multiple_of(3) { 0.0 } else { zipf(c) };
+        let heavy_head = |c: ExtConceptId| if c.as_usize() == 0 { 1e12 } else { 1e-3 };
+        type Weight<'a> = &'a dyn Fn(ExtConceptId) -> f64;
+        let cases: [(&str, Weight<'_>, usize); 5] = [
+            ("zipf", &zipf, 60),
+            ("zero weights", &with_zeros, 150),
+            ("n > pool", &zipf, 450),
+            ("heavy head", &heavy_head, 25),
+            ("empty ask", &zipf, 0),
+        ];
+        for (case, weight, n) in cases {
+            for seed in 0..4 {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let got = weighted_sample(&mut a, &pool, weight, n);
+                let want = sample_reading_each_weight(&mut b, &pool, weight, n);
+                assert_eq!(got, want, "{case}, seed {seed}");
+                assert_eq!(got.len(), n.min(pool.len()), "{case}");
+                // The shared RNG continues from the same state.
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{case}, seed {seed}");
+            }
+        }
+        // The heavy head stalls rejection: one draw, then the uniform fill
+        // in pool order.
+        let got = weighted_sample(&mut StdRng::seed_from_u64(0), &pool, heavy_head, 25);
+        let zero = ExtConceptId::from_usize(0);
+        let fill: Vec<ExtConceptId> = pool.iter().copied().filter(|&c| c != zero).take(24).collect();
+        assert_eq!((got[0], &got[1..]), (zero, fill.as_slice()));
+        assert!(weighted_sample(&mut StdRng::seed_from_u64(0), &[], zipf, 5).is_empty());
     }
 
     #[test]

@@ -17,9 +17,16 @@ cargo test -q
 # parallel mention counting and corpus determinism (corpus), SGNS
 # training at 2/4/8 threads (embed), the per-method evaluation runs
 # (eval), and the store's round-trip, corruption, pinned-bytes and
-# checksum-valid graph-defect tests (store).
+# checksum-valid graph-defect tests (store), plus the generator's
+# determinism and world tests (snomed).
 cargo test -q -p medkb-ekg -p medkb-core -p medkb-serve -p medkb-types -p medkb-corpus \
-    -p medkb-embed -p medkb-eval -p medkb-store
+    -p medkb-embed -p medkb-eval -p medkb-store -p medkb-snomed
+
+# The benchmark worlds pinned bit for bit: digests of
+# `scaled_world_and_corpus` at 4k and 20k concepts against recorded
+# constants, so a generator change that alters the world fails here
+# (~5 s in the dev profile).
+cargo test -q -p medkb-bench --test world_digest
 
 # The conformance suites are part of the root test run above, but name them
 # explicitly so a filtered/partial invocation can't silently skip them.
