@@ -290,7 +290,7 @@ fn run_serve_bench(quick: bool, scale: usize) {
 
     eprintln!("[bench_json] building {scale}-concept benchmark world…");
     let t_build = Instant::now();
-    let RelaxBenchWorld { relaxer, queries, context } = scaled_relaxation_bench_world(scale, true);
+    let RelaxBenchWorld { relaxer, queries, context } = scaled_relaxation_bench_world(scale);
     eprintln!("[bench_json] world built + ingested in {:.1}s", t_build.elapsed().as_secs_f64());
     let mut cfg = relaxer.config().clone();
     cfg.radius = radius;
@@ -1273,7 +1273,7 @@ fn main() {
 
     eprintln!("[bench_json] building {scale}-concept benchmark world…");
     let t_build = Instant::now();
-    let RelaxBenchWorld { relaxer, queries, context } = scaled_relaxation_bench_world(scale, true);
+    let RelaxBenchWorld { relaxer, queries, context } = scaled_relaxation_bench_world(scale);
     eprintln!("[bench_json] world built + ingested in {:.1}s", t_build.elapsed().as_secs_f64());
     let mut cfg = relaxer.config().clone();
     cfg.radius = radius;

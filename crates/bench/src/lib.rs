@@ -7,10 +7,6 @@
 //! * `table3` — simulated user study (paper Table 3),
 //! * `figures` — the worked numbers of Figures 4, 5 and 6,
 //! * `ablation` — the design-choice ablations of DESIGN.md §5.
-//!
-//! Criterion benches (`benches/`): ingestion scaling, online relaxation
-//! latency (the §5 complexity claims), mapping-method throughput, and
-//! substrate micro-benchmarks.
 
 #![warn(missing_docs)]
 
@@ -24,19 +20,6 @@ use rand::{Rng, SeedableRng};
 
 /// The seed all experiment binaries share (results are deterministic).
 pub const EXPERIMENT_SEED: u64 = 2020;
-
-/// Build the paper-scale stack used by the table binaries, caching the
-/// embedding models under `target/medkb-cache` so repeated table runs skip
-/// the training step.
-pub fn paper_stack() -> EvalStack {
-    let cache = std::path::Path::new("target/medkb-cache");
-    EvalStack::build_cached(EvalConfig::paper(EXPERIMENT_SEED), cache).expect("stack builds")
-}
-
-/// Build a reduced stack for quick runs (`--quick` flag of the binaries).
-pub fn quick_stack() -> EvalStack {
-    EvalStack::build(EvalConfig::tiny(EXPERIMENT_SEED)).expect("stack builds")
-}
 
 /// Parse the common flags of the table binaries: `--quick` selects the
 /// reduced world, `--metrics` attaches a shared metrics registry to the
@@ -53,16 +36,8 @@ pub fn stack_from_args() -> EvalStack {
     };
     if metrics {
         config.relax.obs = ObsConfig::enabled();
-        // The model cache would skip the SGNS epochs the registry is
-        // meant to observe; a metrics run pays for a cold build.
-        return EvalStack::build(config).expect("stack builds");
     }
-    if quick {
-        EvalStack::build(config).expect("stack builds")
-    } else {
-        let cache = std::path::Path::new("target/medkb-cache");
-        EvalStack::build_cached(config, cache).expect("stack builds")
-    }
+    EvalStack::build(config).expect("stack builds")
 }
 
 /// Append the eval report's pipeline-metrics section when `--metrics`
@@ -75,9 +50,7 @@ pub fn print_metrics_section(stack: &EvalStack) {
     }
 }
 
-/// The 4k-concept relaxation benchmark world shared by the `relaxation`
-/// Criterion bench and the `bench_json` binary, so their numbers are
-/// directly comparable.
+/// The 4k-concept relaxation benchmark world of the `bench_json` binary.
 pub struct RelaxBenchWorld {
     /// Relaxer over the ingested world.
     pub relaxer: QueryRelaxer,
@@ -85,14 +58,6 @@ pub struct RelaxBenchWorld {
     pub queries: Vec<ExtConceptId>,
     /// The `Indication-hasFinding-Finding` (treatment) context.
     pub context: ContextId,
-}
-
-/// The raw inputs of the 4k-concept benchmark world: generated world plus
-/// curation corpus, before mention counting. The ingestion benchmark
-/// (`bench_json --ingest`) times counting and ingestion itself, so it needs
-/// the pieces; `relaxation_bench_world` assembles them.
-pub fn bench_world_and_corpus() -> (MedWorld, Corpus) {
-    scaled_world_and_corpus(4_000)
 }
 
 /// The default concept count of the benchmark world (the tier-1 fast path).
@@ -267,21 +232,12 @@ pub fn zipf_query_stream(
         .collect()
 }
 
-/// Build the fixed 4k-concept world the relaxation benchmarks run on.
-pub fn relaxation_bench_world(shortcuts: bool) -> RelaxBenchWorld {
-    scaled_relaxation_bench_world(DEFAULT_WORLD_SCALE, shortcuts)
-}
-
-/// [`relaxation_bench_world`] at an arbitrary concept count (see
+/// The relaxation benchmark world at `concepts` concepts (see
 /// [`scaled_world_and_corpus`] for how satellite populations scale).
-pub fn scaled_relaxation_bench_world(concepts: usize, shortcuts: bool) -> RelaxBenchWorld {
+pub fn scaled_relaxation_bench_world(concepts: usize) -> RelaxBenchWorld {
     let (world, corpus) = scaled_world_and_corpus(concepts);
     let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
-    let relax_config = RelaxConfig {
-        mapping: MappingMethod::Exact,
-        add_shortcuts: shortcuts,
-        ..RelaxConfig::default()
-    };
+    let relax_config = RelaxConfig { mapping: MappingMethod::Exact, ..RelaxConfig::default() };
     let out = ingest(&world.kb, world.terminology.ekg.clone(), &counts, None, &relax_config)
         .expect("ingest");
     let queries: Vec<ExtConceptId> = world

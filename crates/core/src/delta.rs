@@ -778,14 +778,12 @@ impl DirtyState {
 /// Whether two ingest outputs are bit-identical on every artifact the
 /// online phase reads — the delta-vs-full differential oracle's equality.
 ///
-/// The mapper is compared with [`crate::mapping::MapperParts::bits_eq`]
-/// rather than
-/// `PartialEq`: trained embedding tables can legitimately contain NaN
-/// rows at SNOMED scale (SGNS divergence is deterministic but not
-/// finite), and float `==` would report two bit-identical such mappers
-/// as different. The frequency tables stay on `PartialEq` — every entry
-/// is a probability or a `ln`-derived IC of one, neither of which can
-/// be NaN.
+/// The mapper is compared in place with [`ConceptMapper::bits_eq`]: trained
+/// embedding tables can legitimately contain NaN rows at SNOMED scale (SGNS
+/// divergence is deterministic but not finite), and float `==` would report
+/// two bit-identical such mappers as different. The frequency tables stay
+/// on `PartialEq`: every entry is a probability or a `ln`-derived IC of
+/// one, neither of which can be NaN.
 pub fn outputs_identical(a: &IngestOutput, b: &IngestOutput) -> bool {
     a.ekg == b.ekg
         && a.contexts == b.contexts
@@ -794,7 +792,7 @@ pub fn outputs_identical(a: &IngestOutput, b: &IngestOutput) -> bool {
         && a.mappings == b.mappings
         && a.instances_of == b.instances_of
         && a.flagged == b.flagged
-        && a.mapper.to_parts().bits_eq(&b.mapper.to_parts())
+        && a.mapper.bits_eq(&b.mapper)
         && a.reach == b.reach
         && a.shortcuts_added == b.shortcuts_added
 }

@@ -22,29 +22,36 @@ use medkb_types::{par, ExtConceptId, IdVec};
 use crate::config::FrequencyMode;
 
 /// Per-context (tag) normalized frequencies, corpus IC, and intrinsic IC.
+///
+/// The fields are the store's `freqs` section, in section order (DESIGN.md
+/// §14.2): the store encodes them in place and decodes straight into them.
+/// Every table holds one finite entry per concept of the graph it was
+/// computed over, and each minimum is its table's [`Frequencies::min_of`];
+/// `compute` and `finish` keep that true, and the store's decoder checks
+/// all three of what it reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frequencies {
-    /// Normalized rolled-up frequency per tag, `[0, 1]`.
-    per_tag: Vec<IdVec<ExtConceptId, f64>>,
+    /// Normalized rolled-up frequency per tag, `[0, 1]` (`N_TAGS` tables).
+    pub per_tag: Vec<IdVec<ExtConceptId, f64>>,
     /// Root (total) raw rolled-up weight per tag.
-    per_tag_total: [f64; N_TAGS],
+    pub per_tag_total: [f64; N_TAGS],
     /// Normalized frequency aggregated over all tags.
-    aggregate: IdVec<ExtConceptId, f64>,
+    pub aggregate: IdVec<ExtConceptId, f64>,
     /// Intrinsic (structure-only) IC à la Seco et al.: `1 − ln(1+|desc|)/ln N`.
-    intrinsic: IdVec<ExtConceptId, f64>,
+    pub intrinsic: IdVec<ExtConceptId, f64>,
     /// Precomputed Eq. 1 IC per tag (smoothing folded in), so the scoring
     /// hot loop is a dense array probe instead of a branch + `ln` per call.
-    ic_per_tag: Vec<IdVec<ExtConceptId, f64>>,
+    pub ic_per_tag: Vec<IdVec<ExtConceptId, f64>>,
     /// Precomputed IC of the aggregate frequencies.
-    ic_aggregate: IdVec<ExtConceptId, f64>,
+    pub ic_aggregate: IdVec<ExtConceptId, f64>,
     /// Smallest per-tag corpus IC over all concepts. The score-bounded
     /// pruning engine (DESIGN.md §13) uses it as the worst-case candidate
     /// IC in the Eq. 3 denominator of its ring-level caps.
-    min_ic_per_tag: [f64; N_TAGS],
+    pub min_ic_per_tag: [f64; N_TAGS],
     /// Smallest aggregate corpus IC over all concepts.
-    min_ic_aggregate: f64,
+    pub min_ic_aggregate: f64,
     /// Smallest intrinsic IC over all concepts.
-    min_intrinsic: f64,
+    pub min_intrinsic: f64,
 }
 
 /// Eq. 1 with half-count smoothing: `−ln f`, or `−ln(0.5/total)` when the
@@ -154,19 +161,13 @@ impl Frequencies {
             aggregate.iter().map(|(_, &f)| ic_value(f, aggregate_total)).collect();
 
         // Per-selection IC minima, precomputed once so the pruning engine's
-        // ring caps probe a scalar instead of scanning the tables. Every IC
-        // value is finite and ≥ 0 (ic_value smooths, intrinsic is clamped),
-        // so an empty graph degenerates to 0 — the safe lower bound.
-        let min_of = |vals: &IdVec<ExtConceptId, f64>| -> f64 {
-            let m = vals.iter().map(|(_, &v)| v).fold(f64::INFINITY, f64::min);
-            if m.is_finite() { m } else { 0.0 }
-        };
+        // ring caps probe a scalar instead of scanning the tables.
         let mut min_ic_per_tag = [0.0; N_TAGS];
         for (tag, table) in ic_per_tag.iter().enumerate() {
-            min_ic_per_tag[tag] = min_of(table);
+            min_ic_per_tag[tag] = Self::min_of(table.as_slice());
         }
-        let min_ic_aggregate = min_of(&ic_aggregate);
-        let min_intrinsic = min_of(&intrinsic);
+        let min_ic_aggregate = Self::min_of(ic_aggregate.as_slice());
+        let min_intrinsic = Self::min_of(intrinsic.as_slice());
 
         Self {
             per_tag,
@@ -179,6 +180,14 @@ impl Frequencies {
             min_ic_aggregate,
             min_intrinsic,
         }
+    }
+
+    /// The minimum each IC table's stored minimum must equal. Every IC
+    /// value is finite and ≥ 0 (`ic_value` smooths, intrinsic is clamped),
+    /// so an empty graph degenerates to 0 — the safe lower bound.
+    pub fn min_of(table: &[f64]) -> f64 {
+        let m = table.iter().copied().fold(f64::INFINITY, f64::min);
+        if m.is_finite() { m } else { 0.0 }
     }
 
     /// Normalized frequency of `concept` in context `tag` (root = 1).
@@ -226,49 +235,6 @@ impl Frequencies {
     /// Root total raw weight per tag (diagnostics).
     pub fn total(&self, tag: ContextTag) -> f64 {
         self.per_tag_total[tag.index()]
-    }
-
-    /// Decompose into flat tables for persistence (medkb-store).
-    ///
-    /// Every table is captured verbatim — a store open reconstructs the
-    /// exact f64 bit patterns this compute produced, never a recompute
-    /// (which would need the corpus counts the store does not keep).
-    pub fn to_parts(&self) -> FreqParts {
-        FreqParts {
-            per_tag: self.per_tag.iter().map(|t| t.as_slice().to_vec()).collect(),
-            per_tag_total: self.per_tag_total.to_vec(),
-            aggregate: self.aggregate.as_slice().to_vec(),
-            intrinsic: self.intrinsic.as_slice().to_vec(),
-            ic_per_tag: self.ic_per_tag.iter().map(|t| t.as_slice().to_vec()).collect(),
-            ic_aggregate: self.ic_aggregate.as_slice().to_vec(),
-            min_ic_per_tag: self.min_ic_per_tag.to_vec(),
-            min_ic_aggregate: self.min_ic_aggregate,
-            min_intrinsic: self.min_intrinsic,
-        }
-    }
-
-    /// Rebuild from [`Frequencies::to_parts`] output. Inverse of
-    /// `to_parts`: bit-identical tables, no recomputation.
-    pub fn from_parts(parts: FreqParts) -> Self {
-        let mut per_tag_total = [0.0; N_TAGS];
-        for (slot, v) in per_tag_total.iter_mut().zip(&parts.per_tag_total) {
-            *slot = *v;
-        }
-        let mut min_ic_per_tag = [0.0; N_TAGS];
-        for (slot, v) in min_ic_per_tag.iter_mut().zip(&parts.min_ic_per_tag) {
-            *slot = *v;
-        }
-        Self {
-            per_tag: parts.per_tag.into_iter().map(|t| t.into_iter().collect()).collect(),
-            per_tag_total,
-            aggregate: parts.aggregate.into_iter().collect(),
-            intrinsic: parts.intrinsic.into_iter().collect(),
-            ic_per_tag: parts.ic_per_tag.into_iter().map(|t| t.into_iter().collect()).collect(),
-            ic_aggregate: parts.ic_aggregate.into_iter().collect(),
-            min_ic_per_tag,
-            min_ic_aggregate: parts.min_ic_aggregate,
-            min_intrinsic: parts.min_intrinsic,
-        }
     }
 }
 
@@ -420,31 +386,6 @@ impl RawFrequencies {
             }
         }
     }
-}
-
-/// Flat-table decomposition of [`Frequencies`] for persistence. Tables are
-/// tag-major (`N_TAGS` inner vectors of length `n`); scalar minima ride
-/// along so the pruning engine's ring caps survive a round trip untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreqParts {
-    /// Normalized per-tag frequency tables.
-    pub per_tag: Vec<Vec<f64>>,
-    /// Root raw rolled-up weight per tag (length `N_TAGS`).
-    pub per_tag_total: Vec<f64>,
-    /// Aggregate normalized frequencies.
-    pub aggregate: Vec<f64>,
-    /// Intrinsic IC table.
-    pub intrinsic: Vec<f64>,
-    /// Per-tag corpus IC tables.
-    pub ic_per_tag: Vec<Vec<f64>>,
-    /// Aggregate corpus IC table.
-    pub ic_aggregate: Vec<f64>,
-    /// Per-tag IC minima (length `N_TAGS`).
-    pub min_ic_per_tag: Vec<f64>,
-    /// Aggregate IC minimum.
-    pub min_ic_aggregate: f64,
-    /// Intrinsic IC minimum.
-    pub min_intrinsic: f64,
 }
 
 /// Paper-literal Eq. 2 rollup: one children-first pass, each child's

@@ -343,7 +343,7 @@ pub fn ingest(
 }
 
 /// [`ingest`] plus a per-stage wall-clock breakdown (for `bench_json
-/// --ingest` and the criterion groups).
+/// --ingest`).
 pub fn ingest_with_stats(
     kb: &Kb,
     mut ekg: Ekg,

@@ -47,12 +47,12 @@ pub use federate::{
     QueryPlan, SkipReason, Source, SourceRegistry, SourceRegistryBuilder, SourceScatter,
 };
 pub use feedback::{Feedback, FeedbackStore};
-pub use frequency::{FreqParts, Frequencies, RawFrequencies};
+pub use frequency::{Frequencies, RawFrequencies};
 pub use ingest::{
     ingest, ingest_reference, ingest_with_stats, FlagTable, IngestOutput, IngestStats,
     InstanceIndex, MappingIndex,
 };
-pub use mapping::{ConceptMapper, MapperParts};
+pub use mapping::ConceptMapper;
 pub use pipeline::RelaxationPipeline;
 pub use relax::{rank_order, QueryRelaxer, RelaxationResult, RelaxedAnswer, ScoreExplain};
 pub use similarity::{QrScorer, QueryScorer, ScoreBounds};

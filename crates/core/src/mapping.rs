@@ -6,7 +6,7 @@ use std::sync::Arc;
 use medkb_ekg::Ekg;
 use medkb_embed::{EmbeddingIndex, SifModel};
 use medkb_text::{levenshtein_within, normalize, NgramIndex};
-use medkb_types::{ExtConceptId, MedKbError, Result};
+use medkb_types::{ExtConceptId, Id, MedKbError, Result, TokenId};
 
 use crate::config::MappingMethod;
 
@@ -16,48 +16,16 @@ use crate::config::MappingMethod;
 /// All flavours try normalized exact lookup first (it is both the cheapest
 /// and — by Table 1 — perfectly precise); the approximate machinery only
 /// engages for names exact lookup misses.
+///
+/// The store's `mapper` section carries the method and, for an embedding
+/// mapper, its model and concept index ([`ConceptMapper::embedding`]);
+/// every other table is derived.
 #[derive(Debug, Clone)]
 pub struct ConceptMapper {
     method: MappingMethod,
     edit: Option<EditTables>,
     embed: Option<EmbedTables>,
     phonetic: Option<std::collections::HashMap<String, ExtConceptId>>,
-}
-
-/// The persisted decomposition of a [`ConceptMapper`] (see
-/// [`ConceptMapper::to_parts`]). `index_payloads`/`index_data` are the raw
-/// arrays of the concept [`EmbeddingIndex`] (empty for non-embedding
-/// methods).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MapperParts {
-    /// The mapping flavour.
-    pub method: MappingMethod,
-    /// The fitted SIF model (embedding method only).
-    pub sif: Option<medkb_embed::SifParts>,
-    /// Concept payloads of the embedding index, insertion order.
-    pub index_payloads: Vec<u32>,
-    /// Normalized row-major vectors of the embedding index.
-    pub index_data: Vec<f32>,
-}
-
-impl MapperParts {
-    /// Bit-level equality. The derived `PartialEq` compares floats with
-    /// `==`, which reports two bit-identical mappers as *different* the
-    /// moment the trained vectors contain a NaN (large SGNS runs can
-    /// diverge into NaN rows without losing determinism). The
-    /// differential oracles compare with this instead: element-wise
-    /// `f32::to_bits` over the SIF model and the index data.
-    pub fn bits_eq(&self, other: &Self) -> bool {
-        let sif_eq = match (&self.sif, &other.sif) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.bits_eq(b),
-            _ => false,
-        };
-        self.method == other.method
-            && sif_eq
-            && self.index_payloads == other.index_payloads
-            && medkb_embed::f32_bits_eq(&self.index_data, &other.index_data)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -73,13 +41,11 @@ struct EditTables {
 struct EmbedTables {
     model: Arc<SifModel>,
     index: EmbeddingIndex,
-    threshold: f64,
-    /// n-gram index over the embedding vocabulary, used to repair
-    /// out-of-vocabulary words (typos) before embedding — the rough
+    /// n-gram index over the model's vocabulary in token-id order, used to
+    /// repair out-of-vocabulary words (typos) before embedding — the rough
     /// equivalent of the subword robustness of fastText [8], which the
     /// paper's EMBEDDING variant builds on.
     vocab_index: NgramIndex,
-    vocab_words: Vec<String>,
 }
 
 impl ConceptMapper {
@@ -141,17 +107,27 @@ impl ConceptMapper {
                         }
                     }
                 }
-                let mut vocab_index = NgramIndex::new(3);
-                let mut vocab_words = Vec::with_capacity(model.vectors().vocab_size());
-                for w in model.vectors().words() {
-                    vocab_index.insert(w);
-                    vocab_words.push(w.to_string());
-                }
-                mapper.embed =
-                    Some(EmbedTables { model, index, threshold, vocab_index, vocab_words });
+                return Ok(Self::from_embedding(threshold, model, index));
             }
         }
         Ok(mapper)
+    }
+
+    /// An embedding mapper over a fitted model and the concept index built
+    /// from it, both adopted as they are — a store open uses this instead
+    /// of re-embedding every concept name. Only the vocabulary-repair
+    /// n-gram index is derived, from the model's words.
+    pub fn from_embedding(threshold: f64, model: Arc<SifModel>, index: EmbeddingIndex) -> Self {
+        let mut vocab_index = NgramIndex::new(3);
+        for w in model.vectors().words() {
+            vocab_index.insert(w);
+        }
+        Self {
+            method: MappingMethod::Embedding { threshold },
+            edit: None,
+            embed: Some(EmbedTables { model, index, vocab_index }),
+            phonetic: None,
+        }
     }
 
     /// The flavour this mapper was built with.
@@ -159,73 +135,24 @@ impl ConceptMapper {
         self.method
     }
 
-    /// The SIF model behind the embedding tables, when the method is
-    /// [`MappingMethod::Embedding`]. medkb-store persists it so a store
-    /// open can rebuild the mapper without retraining embeddings.
-    pub fn sif_model(&self) -> Option<&Arc<SifModel>> {
-        self.embed.as_ref().map(|e| &e.model)
+    /// The SIF model and concept index behind an embedding mapper.
+    pub fn embedding(&self) -> Option<(&SifModel, &EmbeddingIndex)> {
+        self.embed.as_ref().map(|e| (&*e.model, &e.index))
     }
 
-    /// Decompose into the parts medkb-store persists: the method, the SIF
-    /// model, and the concept embedding index (the one table whose rebuild
-    /// embeds every concept name — everything else is cheap to re-derive
-    /// from the graph in [`ConceptMapper::from_parts`]).
-    pub fn to_parts(&self) -> MapperParts {
-        let (sif, index_payloads, index_data) = match &self.embed {
-            Some(e) => {
-                let (_, payloads, data) = e.index.to_raw();
-                (Some(e.model.to_parts()), payloads.to_vec(), data.to_vec())
+    /// Bit-level equality of what the store persists: the method and, for
+    /// an embedding mapper, the model and concept index. NaN-sound and
+    /// signed-zero-strict (see [`medkb_embed::f32_bits_eq`]) — large SGNS
+    /// runs can diverge into NaN rows without losing determinism, and the
+    /// differential oracles must not call two identical such mappers
+    /// different. The other tables are functions of the graph and model.
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        self.method == other.method
+            && match (self.embedding(), other.embedding()) {
+                (None, None) => true,
+                (Some((ma, ia)), Some((mb, ib))) => ma.bits_eq(mb) && ia.bits_eq(ib),
+                _ => false,
             }
-            None => (None, Vec::new(), Vec::new()),
-        };
-        MapperParts { method: self.method, sif, index_payloads, index_data }
-    }
-
-    /// Rebuild a mapper from [`ConceptMapper::to_parts`] output.
-    ///
-    /// Behaviourally identical to [`ConceptMapper::build`] with the same
-    /// method and model: the exact/edit/phonetic tables are re-derived from
-    /// `ekg`'s names (deterministic and cheap), while the embedding branch
-    /// adopts the persisted concept index verbatim instead of re-embedding
-    /// every name, and re-derives only the vocabulary-repair n-gram tables
-    /// (vocabulary order is pinned by token-id order in the model parts).
-    ///
-    /// # Errors
-    /// [`MedKbError::InvalidArgument`] when the method is
-    /// [`MappingMethod::Embedding`] but the parts carry no SIF model.
-    pub fn from_parts(ekg: &Ekg, parts: MapperParts) -> Result<Self> {
-        match parts.method {
-            MappingMethod::Embedding { threshold } => {
-                let sif = parts.sif.ok_or_else(|| {
-                    MedKbError::invalid("mapper parts: embedding method without a SIF model")
-                })?;
-                let model = Arc::new(SifModel::from_parts(sif));
-                let index = EmbeddingIndex::from_raw(
-                    model.vectors().dim(),
-                    parts.index_payloads,
-                    parts.index_data,
-                );
-                let mut vocab_index = NgramIndex::new(3);
-                let mut vocab_words = Vec::with_capacity(model.vectors().vocab_size());
-                for w in model.vectors().words() {
-                    vocab_index.insert(w);
-                    vocab_words.push(w.to_string());
-                }
-                Ok(Self {
-                    method: parts.method,
-                    edit: None,
-                    embed: Some(EmbedTables {
-                        model,
-                        index,
-                        threshold,
-                        vocab_index,
-                        vocab_words,
-                    }),
-                    phonetic: None,
-                })
-            }
-            method => Self::build(ekg, method, None),
-        }
     }
 
     /// Resolve `name` to an external concept, or `None` if the method finds
@@ -248,7 +175,7 @@ impl ConceptMapper {
             MappingMethod::Edit(tau) => self
                 .map_edit(name, tau)
                 .map(|(c, d)| (c, 1.0 / (1.0 + d as f64))),
-            MappingMethod::Embedding { .. } => self.map_embedding(name),
+            MappingMethod::Embedding { threshold } => self.map_embedding(name, threshold),
             MappingMethod::Phonetic => {
                 let key = medkb_text::phrase_key(name);
                 self.phonetic
@@ -284,7 +211,7 @@ impl ConceptMapper {
         best.map(|(d, c)| (c, d))
     }
 
-    fn map_embedding(&self, name: &str) -> Option<(ExtConceptId, f64)> {
+    fn map_embedding(&self, name: &str, threshold: f64) -> Option<(ExtConceptId, f64)> {
         let tables = self.embed.as_ref()?;
         // Repair out-of-vocabulary words (typos) to their nearest
         // vocabulary word within 2 edits before embedding. The phrase and
@@ -322,8 +249,9 @@ impl ConceptMapper {
                     continue;
                 }
                 let mut best: Option<(usize, &str)> = None;
+                let vocab = &tables.model.vectors().vocab;
                 for pos in tables.vocab_index.candidates(tok, 2) {
-                    let cand = &tables.vocab_words[pos];
+                    let cand = vocab.resolve(TokenId::from_usize(pos));
                     if let Some(d) = levenshtein_within(tok, cand, 2) {
                         if best.is_none_or(|(bd, _)| d < bd) {
                             best = Some((d, cand));
@@ -342,7 +270,7 @@ impl ConceptMapper {
             let v = tables.model.embed(phrase)?;
             tables
                 .index
-                .nearest_above(&v, tables.threshold)
+                .nearest_above(&v, threshold)
                 .map(|hit| (ExtConceptId::new(hit.payload), hit.score))
         })
     }
@@ -506,26 +434,35 @@ mod tests {
     }
 
     #[test]
-    fn parts_bits_eq_is_nan_sound_and_signed_zero_strict() {
-        let parts = |data: Vec<f32>| MapperParts {
-            method: MappingMethod::embedding_default(),
-            sif: None,
-            index_payloads: vec![7],
-            index_data: data,
+    fn bits_eq_is_nan_sound_and_signed_zero_strict() {
+        let model = Arc::new(SifModel {
+            vectors: WordVectors {
+                vocab: Default::default(),
+                vecs: Vec::new(),
+                counts: Default::default(),
+                total_tokens: 0,
+                dim: 1,
+            },
+            a: 1e-3,
+            pc: vec![0.0],
+        });
+        let mapper = |data: Vec<f32>| {
+            let index = EmbeddingIndex::from_raw(1, vec![7; data.len()], data);
+            ConceptMapper::from_embedding(0.5, model.clone(), index)
         };
-        // Identical NaN bits: derived `==` says unequal, bits_eq says equal
-        // (this exact false-negative broke the delta-vs-full oracle on
-        // SNOMED-scale worlds whose SGNS run diverged into NaN rows).
-        let (a, b) = (parts(vec![1.0, f32::NAN]), parts(vec![1.0, f32::NAN]));
-        assert_ne!(a, b);
-        assert!(a.bits_eq(&b));
+        // Identical NaN bits: `==` on the data says unequal, bits_eq says
+        // equal (this exact false-negative broke the delta-vs-full oracle
+        // on SNOMED-scale worlds whose SGNS run diverged into NaN rows).
+        assert!(mapper(vec![1.0, f32::NAN]).bits_eq(&mapper(vec![1.0, f32::NAN])));
         // Signed zeros: `==` conflates them, bits_eq distinguishes.
-        let (a, b) = (parts(vec![0.0]), parts(vec![-0.0]));
-        assert_eq!(a, b);
-        assert!(!a.bits_eq(&b));
+        assert!(!mapper(vec![0.0]).bits_eq(&mapper(vec![-0.0])));
         // Genuinely different data still differs.
-        assert!(!parts(vec![1.0]).bits_eq(&parts(vec![2.0])));
-        assert!(!parts(vec![1.0]).bits_eq(&parts(vec![1.0, 1.0])));
+        assert!(!mapper(vec![1.0]).bits_eq(&mapper(vec![2.0])));
+        assert!(!mapper(vec![1.0]).bits_eq(&mapper(vec![1.0, 1.0])));
+        let ekg = fragment();
+        let exact = ConceptMapper::build(&ekg, MappingMethod::Exact, None).unwrap();
+        assert!(exact.bits_eq(&exact.clone()));
+        assert!(!exact.bits_eq(&mapper(vec![1.0])));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! [`LcsOutcome`] therefore carries the full set of equidistant,
 //! shortest-path LCS concepts; the similarity layer averages their IC.
 
-use std::collections::HashMap;
-
 use medkb_types::ExtConceptId;
 
 use crate::graph::{Ekg, UpwardDistances, UpwardScratch};
@@ -163,48 +161,11 @@ pub fn lcs_with_upward_scratch(
     LcsOutcome { concepts, dist_a: da, dist_b: db }
 }
 
-/// Upward distances from each of `sources` to all ancestors, memoized for
-/// batch similarity computations over a fixed query concept.
-#[derive(Debug, Default)]
-pub struct UpwardDistanceCache {
-    cache: HashMap<ExtConceptId, HashMap<ExtConceptId, u32>>,
-}
-
-impl UpwardDistanceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distances from `c` upward, computing and caching on first use. The
-    /// map includes `c` itself at distance 0.
-    pub fn distances<'a>(
-        &'a mut self,
-        ekg: &Ekg,
-        c: ExtConceptId,
-    ) -> &'a HashMap<ExtConceptId, u32> {
-        self.cache.entry(c).or_insert_with(|| {
-            let mut m = ekg.upward_distances(c);
-            m.insert(c, 0);
-            m
-        })
-    }
-
-    /// Number of memoized sources.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::EkgBuilder;
+    use std::collections::HashMap;
 
     /// root
     /// ├── finding
@@ -351,18 +312,5 @@ mod tests {
         let out = lcs_with_upward(&g, &reach, &up_c, d);
         assert_eq!(out.concepts, vec![p]);
         assert_eq!(out, lcs(&g, c, d));
-    }
-
-    #[test]
-    fn cache_returns_same_distances_as_direct_call() {
-        let (g, ids) = taxonomy();
-        let mut cache = UpwardDistanceCache::new();
-        let via_cache = cache.distances(&g, ids["headache"]).clone();
-        let mut direct = g.upward_distances(ids["headache"]);
-        direct.insert(ids["headache"], 0);
-        assert_eq!(via_cache, direct);
-        assert_eq!(cache.len(), 1);
-        cache.distances(&g, ids["headache"]);
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -34,5 +34,5 @@ pub use graph::{
 };
 pub use lcs::{lcs_with_upward, lcs_with_upward_scratch, LcsOutcome};
 pub use path::{Direction, PathSummary};
-pub use reach::{DenseReachability, ReachParts, ReachabilityIndex};
+pub use reach::{DenseReachability, ReachabilityIndex};
 pub use stats::{to_dot, EkgStats};

@@ -15,16 +15,16 @@
 //!   comparisons, no memory indirection beyond the label arrays.
 //! * A per-concept **exception set** `exc(c) = ancestors(c) \
 //!   tree_ancestors(c)`: the ancestors only reachable through non-tree
-//!   (multi-parent) edges. Sets are stored in a shared pool — a
+//!   (multi-parent) edges. Sets are stored in one shared CSR pool — a
 //!   single-native-parent concept provably has *exactly* its tree parent's
 //!   exception set (see the lemma at [`ReachabilityIndex::build`]) and
 //!   shares the pooled entry, so the pool holds roughly one distinct set
 //!   per multi-parent concept.
-//! * Each pooled set picks its representation **by density**: a sorted
-//!   `u32` id list (binary-searched) while `4·|exc|` bytes is below the
-//!   `n/8`-byte bitset row, a packed bitset above — so no single set can
-//!   cost more than a dense row, and the common near-tree case costs a few
-//!   words.
+//! * Each pooled set is probed **by density**: its sorted `u32` member list
+//!   is binary-searched while `4·|exc|` bytes is below the `n/8`-byte bitset
+//!   row; above that it also gets a packed bitset row in one shared word
+//!   arena — so no set's probe structure costs more than a dense row, and
+//!   the common near-tree case costs a few words.
 //!
 //! The result is `O(|V| + Σ|exc|)` memory instead of `O(|V|²)` bits, with
 //! `is_ancestor` still O(1) for the tree-like majority of a SNOMED-shaped
@@ -39,47 +39,17 @@ use crate::graph::Ekg;
 /// Pool index of the shared empty exception set.
 const EMPTY_SET: u32 = 0;
 
-/// One pooled exception set. `members` is always the sorted member id list
-/// (canonical, serialized form); `bits` is the packed probe structure,
-/// present only when the set is dense enough that a bitset is smaller than
-/// the list (`4·len > n/8` bytes ⇔ `len > n/32`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ExcSet {
-    members: Vec<u32>,
-    bits: Option<Vec<u64>>,
-}
-
-impl ExcSet {
-    fn new(members: Vec<u32>, n: usize) -> Self {
-        let bits = if members.len() > n / 32 {
-            let mut words = vec![0u64; n.div_ceil(64)];
-            for &m in &members {
-                words[m as usize / 64] |= 1 << (m % 64);
-            }
-            Some(words)
-        } else {
-            None
-        };
-        Self { members, bits }
-    }
-
-    #[inline]
-    fn contains(&self, id: u32) -> bool {
-        match &self.bits {
-            Some(words) => words[id as usize / 64] & (1 << (id % 64)) != 0,
-            None => self.members.binary_search(&id).is_ok(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.members.len() * 4 + self.bits.as_ref().map_or(0, |w| w.len() * 8)
-    }
-}
+/// `bit_row` entry of a sparse set, which has no bitset row.
+const SPARSE: u32 = u32::MAX;
 
 /// Hybrid interval + exception-set reachability index.
+///
+/// Its first six columns are the store's `reach` section, in section order
+/// (DESIGN.md §14.2): [`ReachabilityIndex::columns`] lends them to the
+/// encoder and [`ReachabilityIndex::from_columns`] adopts decoded ones.
+/// The probe bitsets are derived from them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachabilityIndex {
-    n: usize,
     /// DFS preorder entry index of each concept in the spanning tree.
     tin: Vec<u32>,
     /// Largest preorder index in each concept's subtree (inclusive); the
@@ -91,8 +61,18 @@ pub struct ReachabilityIndex {
     tree_depth: Vec<u32>,
     /// Pool index of each concept's exception set.
     exc: Vec<u32>,
-    /// Distinct exception sets; entry 0 is always the empty set.
-    pool: Vec<ExcSet>,
+    /// Pooled set `s` is `set_members[set_offsets[s]..set_offsets[s + 1]]`;
+    /// set 0 is always the empty set.
+    set_offsets: Vec<u32>,
+    /// Every pooled set's members, each set sorted ascending (the
+    /// canonical, serialized form).
+    set_members: Vec<u32>,
+    /// Per pooled set: its row in `bits`, or [`SPARSE`]. A set carries a
+    /// bitset when that is smaller than its list (`4·len > n/8` bytes ⇔
+    /// `len > n/32`).
+    bit_row: Vec<u32>,
+    /// The dense sets' bitsets, `n.div_ceil(64)` words each, in pool order.
+    bits: Vec<u64>,
 }
 
 impl ReachabilityIndex {
@@ -208,8 +188,9 @@ impl ReachabilityIndex {
         }
         debug_assert_eq!(next as usize, n, "spanning tree must cover every concept");
 
-        // Exception sets, parents-first.
-        let mut pool: Vec<ExcSet> = vec![ExcSet::new(Vec::new(), n)];
+        // Exception sets, parents-first, appended to one CSR pool.
+        let mut set_offsets: Vec<u32> = vec![0, 0];
+        let mut set_members: Vec<u32> = Vec::new();
         let mut exc: Vec<u32> = vec![EMPTY_SET; n];
         let contains_interval = |tin: &[u32], tout: &[u32], a: usize, d: usize| {
             tin[a] <= tin[d] && tin[d] <= tout[a]
@@ -229,8 +210,7 @@ impl ReachabilityIndex {
             // shifted. The pool assembly below only compares member lists,
             // so reusing the old list reproduces the fresh build exactly.
             let cached: Option<&[u32]> = cache.and_then(|(old, dirty)| {
-                (ci < old.n && !dirty.contains(&c))
-                    .then(|| old.pool[old.exc[ci] as usize].members.as_slice())
+                (ci < old.tin.len() && !dirty.contains(&c)).then(|| old.members(old.exc[ci]))
             });
             scratch.clear();
             for q in ekg.native_parents(c) {
@@ -255,7 +235,7 @@ impl ReachabilityIndex {
                     }
                     walk = p as usize;
                 }
-                for &m in &pool[exc[qi] as usize].members {
+                for &m in pooled(&set_offsets, &set_members, exc[qi]) {
                     if !contains_interval(&tin, &tout, m as usize, ci) {
                         scratch.push(m);
                     }
@@ -269,43 +249,101 @@ impl ReachabilityIndex {
             if let Some(members) = cached {
                 scratch.extend_from_slice(members);
             } else {
-                scratch.extend_from_slice(&pool[exc[tp] as usize].members);
+                scratch.extend_from_slice(pooled(&set_offsets, &set_members, exc[tp]));
                 scratch.sort_unstable();
                 scratch.dedup();
             }
-            if scratch == pool[exc[tp] as usize].members {
+            if scratch == pooled(&set_offsets, &set_members, exc[tp]) {
                 // Every extra-parent contribution was already a tree
                 // ancestor (or inherited) — reuse the parent's entry.
                 exc[ci] = exc[tp];
             } else {
-                pool.push(ExcSet::new(scratch.clone(), n));
-                exc[ci] = (pool.len() - 1) as u32;
+                set_members.extend_from_slice(&scratch);
+                exc[ci] = (set_offsets.len() - 1) as u32;
+                set_offsets.push(set_members.len() as u32);
             }
         }
 
-        Self { n, tin, tout, tree_depth, exc, pool }
+        // The pool grew by doubling: give the slack back, so a built index
+        // holds no more than a decoded one.
+        set_members.shrink_to_fit();
+        set_offsets.shrink_to_fit();
+        Self::from_columns([tin, tout, tree_depth, exc, set_offsets, set_members])
+    }
+
+    /// The six stored columns in section order: `tin`, `tout`,
+    /// `tree_depth`, `exc`, `set_offsets`, `set_members`.
+    pub fn columns(&self) -> [&[u32]; 6] {
+        [&self.tin, &self.tout, &self.tree_depth, &self.exc, &self.set_offsets, &self.set_members]
+    }
+
+    /// Adopt the six stored columns, in [`ReachabilityIndex::columns`]
+    /// order, as they are, and derive the dense sets' bitsets. The
+    /// representation choice is a function of each set's size and `n`, so
+    /// a reopened index equals the one that was saved. The store's decoder
+    /// checks what it hands over (DESIGN.md §14.2).
+    pub fn from_columns(columns: [Vec<u32>; 6]) -> Self {
+        let [tin, tout, tree_depth, exc, set_offsets, set_members] = columns;
+        let n = tin.len();
+        let words = n.div_ceil(64);
+        let sets = set_offsets.len().saturating_sub(1);
+        let mut bit_row = Vec::with_capacity(sets);
+        let mut bits: Vec<u64> = Vec::new();
+        for s in 0..sets as u32 {
+            let members = pooled(&set_offsets, &set_members, s);
+            if members.len() <= n / 32 {
+                bit_row.push(SPARSE);
+                continue;
+            }
+            bit_row.push((bits.len() / words) as u32);
+            let row = bits.len();
+            bits.resize(row + words, 0);
+            for &m in members {
+                bits[row + m as usize / 64] |= 1 << (m % 64);
+            }
+        }
+        Self { tin, tout, tree_depth, exc, set_offsets, set_members, bit_row, bits }
+    }
+
+    /// Members of pooled set `s`, ascending.
+    #[inline]
+    fn members(&self, s: u32) -> &[u32] {
+        pooled(&self.set_offsets, &self.set_members, s)
+    }
+
+    /// Whether pooled set `s` holds `id`: a binary search of a sparse set's
+    /// list, or one bit of a dense set's row.
+    #[inline]
+    fn set_contains(&self, s: u32, id: u32) -> bool {
+        match self.bit_row[s as usize] {
+            SPARSE => self.members(s).binary_search(&id).is_ok(),
+            row => {
+                let at = row as usize * self.tin.len().div_ceil(64) + id as usize / 64;
+                self.bits[at] & (1 << (id % 64)) != 0
+            }
+        }
     }
 
     /// Whether `anc` is a strict ancestor of `desc`.
-    #[inline]
+    // The relax scan's bounds probe this per candidate and query ancestor.
+    #[inline(always)]
     pub fn is_ancestor(&self, anc: ExtConceptId, desc: ExtConceptId) -> bool {
         if anc == desc {
             return false;
         }
         let a = anc.as_usize();
         let d = desc.as_usize();
-        debug_assert!(a < self.n && d < self.n);
         if self.tin[a] <= self.tin[d] && self.tin[d] <= self.tout[a] {
             return true;
         }
-        self.pool[self.exc[d] as usize].contains(anc.as_u32())
+        self.set_contains(self.exc[d], anc.as_u32())
     }
 
     /// Number of strict ancestors of `desc`: tree ancestors (= tree depth)
     /// plus exceptions (disjoint by construction).
     pub fn ancestor_count(&self, desc: ExtConceptId) -> usize {
         let d = desc.as_usize();
-        self.tree_depth[d] as usize + self.pool[self.exc[d] as usize].members.len()
+        self.tree_depth[d] as usize + self.members(self.exc[d]).len()
     }
 
     /// Strict-descendant count for every concept (indexed by concept id).
@@ -317,8 +355,8 @@ impl ReachabilityIndex {
     pub fn descendant_counts(&self) -> Vec<u64> {
         let mut counts: Vec<u64> =
             self.tout.iter().zip(&self.tin).map(|(&o, &i)| u64::from(o - i)).collect();
-        for c in 0..self.n {
-            for &m in &self.pool[self.exc[c] as usize].members {
+        for &s in &self.exc {
+            for &m in self.members(s) {
                 counts[m as usize] += 1;
             }
         }
@@ -328,7 +366,7 @@ impl ReachabilityIndex {
     /// Approximate resident footprint in bytes: the four per-concept label
     /// arrays plus every pooled exception set (lists and bitsets).
     pub fn memory_bytes(&self) -> usize {
-        self.n * 16 + self.pool.iter().map(ExcSet::memory_bytes).sum::<usize>()
+        self.tin.len() * 16 + self.set_members.len() * 4 + self.bits.len() * 8
     }
 
     /// The dense closure's footprint at this concept count — what the
@@ -336,75 +374,21 @@ impl ReachabilityIndex {
     /// the hybrid/dense ratio against this at scales where the dense build
     /// is no longer feasible.
     pub fn dense_equivalent_bytes(&self) -> usize {
-        self.n * self.n.div_ceil(64) * 8
+        let n = self.tin.len();
+        n * n.div_ceil(64) * 8
     }
 
     /// Number of distinct pooled exception sets (including the shared
     /// empty set) — the hybrid's sparsity diagnostic.
     pub fn exception_set_count(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Decompose into the flat parts `medkb-store` serializes. Pool sets
-    /// are emitted canonically as member lists (offsets + one flat id
-    /// array); the density-chosen probe bitsets are derived state and are
-    /// rebuilt on load.
-    pub fn to_parts(&self) -> ReachParts {
-        let mut set_offsets = Vec::with_capacity(self.pool.len() + 1);
-        let mut set_members = Vec::new();
-        set_offsets.push(0u32);
-        for set in &self.pool {
-            set_members.extend_from_slice(&set.members);
-            set_offsets.push(set_members.len() as u32);
-        }
-        ReachParts {
-            tin: self.tin.clone(),
-            tout: self.tout.clone(),
-            tree_depth: self.tree_depth.clone(),
-            exc: self.exc.clone(),
-            set_offsets,
-            set_members,
-        }
-    }
-
-    /// Reassemble from [`ReachabilityIndex::to_parts`] output. The bitset
-    /// representation choice is a deterministic function of each set's
-    /// cardinality and `n`, so the round-tripped index is bit-identical to
-    /// the freshly built one.
-    pub fn from_parts(parts: ReachParts) -> Self {
-        let n = parts.tin.len();
-        let pool: Vec<ExcSet> = parts
-            .set_offsets
-            .windows(2)
-            .map(|w| ExcSet::new(parts.set_members[w[0] as usize..w[1] as usize].to_vec(), n))
-            .collect();
-        Self {
-            n,
-            tin: parts.tin,
-            tout: parts.tout,
-            tree_depth: parts.tree_depth,
-            exc: parts.exc,
-            pool,
-        }
+        self.set_offsets.len() - 1
     }
 }
 
-/// Flat serialization parts of a [`ReachabilityIndex`]
-/// ([`ReachabilityIndex::to_parts`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReachParts {
-    /// DFS preorder entry indexes.
-    pub tin: Vec<u32>,
-    /// Inclusive subtree exit indexes.
-    pub tout: Vec<u32>,
-    /// Spanning-tree depths.
-    pub tree_depth: Vec<u32>,
-    /// Per-concept pool indexes.
-    pub exc: Vec<u32>,
-    /// Pool set boundaries into `set_members` (`len = pool size + 1`).
-    pub set_offsets: Vec<u32>,
-    /// Concatenated sorted member lists of every pooled set.
-    pub set_members: Vec<u32>,
+/// Set `s` of the CSR pool `offsets` / `members`.
+#[inline]
+fn pooled<'a>(offsets: &[u32], members: &'a [u32], s: u32) -> &'a [u32] {
+    &members[offsets[s as usize] as usize..offsets[s as usize + 1] as usize]
 }
 
 /// The original dense transitive-closure bitset — `|V|²/8` bytes, one
@@ -605,10 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_is_bit_identical() {
+    fn columns_round_trip_is_bit_identical() {
         for g in [diamond(), wide_random(), chain(100), singleton()] {
             let idx = ReachabilityIndex::build(&g);
-            let back = ReachabilityIndex::from_parts(idx.to_parts());
+            let back = ReachabilityIndex::from_columns(idx.columns().map(<[u32]>::to_vec));
             assert_eq!(back, idx);
         }
     }

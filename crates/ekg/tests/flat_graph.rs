@@ -1,6 +1,7 @@
 //! A graph stays flat: cloning, adopting and dropping one costs the same
 //! few heap blocks whatever its size. A regression to per-concept edge
-//! vectors or boxed strings makes these counts grow with the graph.
+//! vectors or boxed strings makes these counts grow with the graph. The
+//! reachability index is flat too: its exception sets share one pool.
 //!
 //! The counting allocator counts per thread, so the test harness's own
 //! threads cannot disturb the numbers.
@@ -91,4 +92,15 @@ fn clone_adopt_and_drop_cost_a_fixed_number_of_blocks() {
         assert_eq!((c, a, d), (clone_blocks, adopt_blocks, drop_blocks), "{n} concepts: {seen:?}");
     }
     assert!(clone_blocks <= 32 && drop_blocks <= 32 && adopt_blocks <= 2, "{seen:?}");
+}
+
+#[test]
+fn a_reachability_clone_costs_at_most_eight_blocks() {
+    for n in [2_000, 20_000] {
+        let reach = ReachabilityIndex::build(&graph(n));
+        assert!(reach.exception_set_count() > 8, "{n} concepts: too few sets to tell");
+        let (cloned, copy) = blocks(|| reach.clone());
+        assert_eq!(copy, reach);
+        assert!(cloned.0 <= 8, "{n} concepts: a clone took {} blocks", cloned.0);
+    }
 }

@@ -96,6 +96,14 @@ impl EmbeddingIndex {
         hits
     }
 
+    /// Bit-level equality: NaN-sound and signed-zero-strict over the
+    /// vectors (see [`crate::f32_bits_eq`]).
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.payloads == other.payloads
+            && crate::f32_bits_eq(&self.data, &other.data)
+    }
+
     /// The single best hit at or above `min_score`.
     pub fn nearest_above(&self, query: &[f32], min_score: f64) -> Option<Hit> {
         self.search(query, 1).into_iter().find(|h| h.score >= min_score)

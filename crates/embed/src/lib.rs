@@ -20,8 +20,8 @@ pub mod sgns;
 pub mod sif;
 
 pub use knn::EmbeddingIndex;
-pub use sgns::{SgnsConfig, WordVectorParts, WordVectors};
-pub use sif::{SifModel, SifParts};
+pub use sgns::{SgnsConfig, WordVectors};
+pub use sif::SifModel;
 
 /// Bit-level equality of two `f32` slices: same length, same bit pattern
 /// per element. Stricter than `==` on signed zeros (`0.0` vs `-0.0`

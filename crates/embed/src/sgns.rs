@@ -71,45 +71,23 @@ impl SgnsConfig {
     }
 }
 
-/// Trained word vectors plus the corpus unigram statistics they came with.
+/// Trained word vectors plus the corpus unigram statistics they came with,
+/// in the layout of the store's `mapper` section (DESIGN.md §14.2): one row
+/// per token id, all rows in one row-major matrix. `vecs` holds
+/// `vocab.len() × dim` values and `counts` one count per word; the store's
+/// decoder checks both.
 #[derive(Debug, Clone)]
 pub struct WordVectors {
-    vocab: StringInterner<TokenId>,
-    vecs: IdVec<TokenId, Vec<f32>>,
-    counts: IdVec<TokenId, u64>,
-    total_tokens: u64,
-    dim: usize,
-}
-
-/// Flat-array decomposition of [`WordVectors`] for lossless persistence:
-/// vocabulary in token-id order, vectors concatenated row-major.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WordVectorParts {
-    /// Vocabulary words in token-id order.
-    pub words: Vec<String>,
-    /// All vectors concatenated row-major (`words.len() × dim`).
+    /// The vocabulary; token ids number the rows.
+    pub vocab: StringInterner<TokenId>,
+    /// Every row concatenated.
     pub vecs: Vec<f32>,
-    /// Corpus count per word, token-id order.
-    pub counts: Vec<u64>,
+    /// Corpus count per word.
+    pub counts: IdVec<TokenId, u64>,
     /// Total token count of the training corpus.
     pub total_tokens: u64,
     /// Embedding dimensionality.
-    pub dim: u64,
-}
-
-impl WordVectorParts {
-    /// Bit-level equality. Unlike the derived `PartialEq`, this treats a
-    /// NaN as equal to the same NaN bit pattern (and `0.0` as distinct
-    /// from `-0.0`) — large SGNS runs can diverge into NaN rows, and a
-    /// bit-identity oracle must not report two identical such models as
-    /// different.
-    pub fn bits_eq(&self, other: &Self) -> bool {
-        self.words == other.words
-            && crate::f32_bits_eq(&self.vecs, &other.vecs)
-            && self.counts == other.counts
-            && self.total_tokens == other.total_tokens
-            && self.dim == other.dim
-    }
+    pub dim: usize,
 }
 
 impl WordVectors {
@@ -220,9 +198,7 @@ impl WordVectors {
             }
         }
 
-        let vecs: IdVec<TokenId, Vec<f32>> =
-            (0..n).map(|i| w_in[i * dim..(i + 1) * dim].to_vec()).collect();
-        Self { vocab, vecs, counts, total_tokens: total, dim }
+        Self { vocab, vecs: w_in, counts, total_tokens: total, dim }
     }
 
     /// The bit-exactness oracle the sharded trainer is pinned against: the
@@ -231,7 +207,6 @@ impl WordVectors {
     /// discipline from DESIGN.md §8).
     pub fn train_reference(corpus: &Corpus, config: &SgnsConfig) -> Self {
         let (vocab, counts, total, table, mut w_in, mut w_out) = init_state(corpus, config);
-        let n = vocab.len();
         let dim = config.dim;
 
         let sentences: Vec<&[TokenId]> =
@@ -288,9 +263,7 @@ impl WordVectors {
             }
         }
 
-        let vecs: IdVec<TokenId, Vec<f32>> =
-            (0..n).map(|i| w_in[i * dim..(i + 1) * dim].to_vec()).collect();
-        Self { vocab, vecs, counts, total_tokens: total, dim }
+        Self { vocab, vecs: w_in, counts, total_tokens: total, dim }
     }
 
     /// Embedding dimensionality.
@@ -305,11 +278,15 @@ impl WordVectors {
 
     /// The vector of `word`, if in vocabulary.
     pub fn get(&self, word: &str) -> Option<&[f32]> {
-        self.vocab.get(word).map(|t| self.vecs[t].as_slice())
+        self.vocab.get(word).map(|t| self.row(t))
+    }
+
+    fn row(&self, t: TokenId) -> &[f32] {
+        &self.vecs[t.as_usize() * self.dim..][..self.dim]
     }
 
     /// Iterate over the vocabulary words.
-    pub fn words(&self) -> impl Iterator<Item = &str> {
+    pub fn words(&self) -> impl Iterator<Item = &str> + Clone {
         self.vocab.iter().map(|(_, w)| w)
     }
 
@@ -328,40 +305,17 @@ impl WordVectors {
         Some(cosine(va, vb))
     }
 
-    /// Decompose into flat arrays for lossless binary persistence
-    /// (medkb-store). Unlike [`WordVectors::write_tsv`], which rounds to
-    /// six significant digits, the parts carry exact f32/u64 bit patterns;
-    /// `from_parts(to_parts())` is bit-identical.
-    pub fn to_parts(&self) -> WordVectorParts {
-        let mut vecs = Vec::with_capacity(self.vocab.len() * self.dim);
-        for (_, v) in self.vecs.iter() {
-            vecs.extend_from_slice(v);
-        }
-        WordVectorParts {
-            words: self.vocab.iter().map(|(_, w)| w.to_string()).collect(),
-            vecs,
-            counts: self.counts.as_slice().to_vec(),
-            total_tokens: self.total_tokens,
-            dim: self.dim as u64,
-        }
-    }
-
-    /// Rebuild from [`WordVectors::to_parts`] output. Words are re-interned
-    /// in order, so token ids match the original exactly.
-    pub fn from_parts(parts: WordVectorParts) -> Self {
-        let dim = parts.dim as usize;
-        let mut vocab: StringInterner<TokenId> = StringInterner::with_capacity(parts.words.len());
-        for w in &parts.words {
-            vocab.intern(w);
-        }
-        let vecs: IdVec<TokenId, Vec<f32>> = parts
-            .vecs
-            .chunks_exact(dim.max(1))
-            .map(|row| row.to_vec())
-            .take(parts.words.len())
-            .collect();
-        let counts: IdVec<TokenId, u64> = parts.counts.into_iter().collect();
-        Self { vocab, vecs, counts, total_tokens: parts.total_tokens, dim }
+    /// Bit-level equality. Unlike `==` on floats, this treats a NaN as
+    /// equal to the same NaN bit pattern (and `0.0` as distinct from
+    /// `-0.0`): large SGNS runs can diverge into NaN rows, and a
+    /// bit-identity oracle must not report two identical such models as
+    /// different.
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        self.words().eq(other.words())
+            && crate::f32_bits_eq(&self.vecs, &other.vecs)
+            && self.counts == other.counts
+            && self.total_tokens == other.total_tokens
+            && self.dim == other.dim
     }
 
     /// Serialize to a TSV document: a `dim <TAB> total` header, then one
@@ -371,8 +325,7 @@ impl WordVectors {
     pub fn write_tsv(&self) -> String {
         let mut out = format!("{}\t{}\n", self.dim, self.total_tokens);
         for (t, w) in self.vocab.iter() {
-            let vec_str: Vec<String> =
-                self.vecs[t].iter().map(|x| format!("{x:.6e}")).collect();
+            let vec_str: Vec<String> = self.row(t).iter().map(|x| format!("{x:.6e}")).collect();
             out.push_str(&format!("{w}\t{}\t{}\n", self.counts[t], vec_str.join(" ")));
         }
         out
@@ -404,7 +357,7 @@ impl WordVectors {
             return report.into_result().map(|()| unreachable!());
         };
         let mut vocab: StringInterner<TokenId> = StringInterner::new();
-        let mut vecs: IdVec<TokenId, Vec<f32>> = IdVec::new();
+        let mut vecs: Vec<f32> = Vec::new();
         let mut counts: IdVec<TokenId, u64> = IdVec::new();
         for (i, line) in lines {
             if line.is_empty() {
@@ -451,7 +404,7 @@ impl WordVectors {
                 continue;
             }
             vocab.intern(word);
-            vecs.push(vec);
+            vecs.extend_from_slice(&vec);
             counts.push(count);
         }
         report.into_result_with(Self { vocab, vecs, counts, total_tokens: total, dim })
@@ -465,7 +418,7 @@ impl WordVectors {
             .vocab
             .iter()
             .filter(|(_, w)| *w != word)
-            .map(|(t, w)| (w, cosine(v, &self.vecs[t])))
+            .map(|(t, w)| (w, cosine(v, self.row(t))))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
         scored.truncate(k);

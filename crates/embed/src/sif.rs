@@ -11,35 +11,18 @@
 use medkb_corpus::Corpus;
 use medkb_text::tokenize;
 
-use crate::sgns::{WordVectorParts, WordVectors};
+use crate::sgns::WordVectors;
 
-/// A fitted SIF model: word vectors + weighting + common component.
+/// A fitted SIF model: word vectors + weighting + common component, as the
+/// store's `mapper` section carries them (DESIGN.md §14.2).
 #[derive(Debug, Clone)]
 pub struct SifModel {
-    vectors: WordVectors,
-    a: f64,
-    pc: Vec<f32>,
-}
-
-/// Flat decomposition of [`SifModel`] for lossless persistence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SifParts {
     /// The underlying word vectors.
-    pub vectors: WordVectorParts,
+    pub vectors: WordVectors,
     /// SIF smoothing parameter.
     pub a: f64,
     /// First principal component of the training sentence embeddings.
     pub pc: Vec<f32>,
-}
-
-impl SifParts {
-    /// Bit-level equality (see [`WordVectorParts::bits_eq`]): NaN-sound
-    /// and signed-zero-strict, unlike the derived `PartialEq`.
-    pub fn bits_eq(&self, other: &Self) -> bool {
-        self.vectors.bits_eq(&other.vectors)
-            && self.a.to_bits() == other.a.to_bits()
-            && crate::f32_bits_eq(&self.pc, &other.pc)
-    }
 }
 
 impl SifModel {
@@ -90,17 +73,12 @@ impl SifModel {
         Some(crate::sgns::cosine(&va, &vb))
     }
 
-    /// Decompose into flat parts for lossless binary persistence
-    /// (medkb-store). Unlike [`SifModel::write_tsv`] (rounded decimal),
-    /// the parts preserve exact bit patterns; `from_parts(to_parts())`
-    /// embeds phrases bit-identically to the original model.
-    pub fn to_parts(&self) -> SifParts {
-        SifParts { vectors: self.vectors.to_parts(), a: self.a, pc: self.pc.clone() }
-    }
-
-    /// Rebuild from [`SifModel::to_parts`] output.
-    pub fn from_parts(parts: SifParts) -> Self {
-        Self { vectors: WordVectors::from_parts(parts.vectors), a: parts.a, pc: parts.pc }
+    /// Bit-level equality (see [`WordVectors::bits_eq`]): NaN-sound and
+    /// signed-zero-strict, unlike `==` on floats.
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        self.vectors.bits_eq(&other.vectors)
+            && self.a.to_bits() == other.a.to_bits()
+            && crate::f32_bits_eq(&self.pc, &other.pc)
     }
 
     /// Serialize the fitted model: one header line `a <TAB> pc1 pc2 …`,
@@ -314,16 +292,15 @@ mod tests {
     }
 
     #[test]
-    fn parts_bits_eq_accepts_identical_nan_vectors() {
-        let m = model();
-        let mut parts = m.to_parts();
-        parts.vectors.vecs[0] = f32::NAN;
-        let twin = parts.clone();
-        assert_ne!(parts, twin); // NaN defeats the derived PartialEq…
-        assert!(parts.bits_eq(&twin)); // …but not the bit-level oracle.
-        let mut other = parts.clone();
+    fn bits_eq_accepts_identical_nan_vectors() {
+        let mut m = model();
+        m.vectors.vecs[0] = f32::NAN;
+        let twin = m.clone();
+        assert_ne!(m.vectors.vecs[0], twin.vectors.vecs[0]); // NaN defeats `==`…
+        assert!(m.bits_eq(&twin)); // …but not the bit-level oracle.
+        let mut other = m.clone();
         other.pc[0] += 1.0;
-        assert!(!parts.bits_eq(&other));
+        assert!(!m.bits_eq(&other));
     }
 
     #[test]

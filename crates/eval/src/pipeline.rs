@@ -95,18 +95,6 @@ pub struct EvalStack {
 impl EvalStack {
     /// Build the full stack.
     pub fn build(config: EvalConfig) -> Result<Self> {
-        Self::build_with_cache(config, None)
-    }
-
-    /// Build the full stack, caching the trained embedding models (the
-    /// slowest deterministic step) under `cache_dir` keyed by the
-    /// generation seeds. A second build with the same configuration loads
-    /// the models instead of retraining.
-    pub fn build_cached(config: EvalConfig, cache_dir: &std::path::Path) -> Result<Self> {
-        Self::build_with_cache(config, Some(cache_dir))
-    }
-
-    fn build_with_cache(config: EvalConfig, cache_dir: Option<&std::path::Path>) -> Result<Self> {
         let threads = config.relax.parallel.effective_threads();
         // One registry (when configured) observes every stage of the build:
         // mention counting, SGNS training, and ingestion all record into
@@ -122,46 +110,11 @@ impl EvalStack {
             obs,
         );
 
-        // "v2": the minibatch trainer produces different (still
-        // deterministic) vectors than the v1 online trainer; the batch size
-        // is part of the key because it changes the result.
-        let key = format!(
-            "v2-w{}-s{}-c{}-d{}-e{}-g{}-b{}",
-            config.world.seed,
-            config.world.snomed.seed,
-            config.corpus.seed,
-            config.corpus.docs,
-            config.sgns.seed,
-            config.sgns.epochs,
-            config.sgns.batch_sentences,
-        );
-        let cached = |name: &str| cache_dir.map(|d| d.join(format!("{key}-{name}.tsv")));
-        let load_or =
-            |path: Option<std::path::PathBuf>, train: &dyn Fn() -> SifModel| -> SifModel {
-                if let Some(p) = &path {
-                    if let Ok(doc) = std::fs::read_to_string(p) {
-                        if let Ok(model) = SifModel::read_tsv(&doc) {
-                            return model;
-                        }
-                    }
-                }
-                let model = train();
-                if let Some(p) = &path {
-                    let _ = std::fs::create_dir_all(p.parent().unwrap_or(p));
-                    let _ = std::fs::write(p, model.write_tsv());
-                }
-                model
-            };
-
-        let sif_trained = Arc::new(load_or(cached("trained"), &|| {
-            let wv = WordVectors::train_with_threads_obs(&corpus, &config.sgns, threads, obs);
-            SifModel::fit(wv, &corpus, 1e-3)
-        }));
-        let sif_pretrained = Arc::new(load_or(cached("pretrained"), &|| {
-            let ood = CorpusGenerator::out_of_domain(config.sgns.seed ^ 0x77, config.ood_docs);
-            let wv_ood = WordVectors::train_with_threads_obs(&ood, &config.sgns, threads, obs);
-            SifModel::fit(wv_ood, &ood, 1e-3)
-        }));
+        let wv = WordVectors::train_with_threads_obs(&corpus, &config.sgns, threads, obs);
+        let sif_trained = Arc::new(SifModel::fit(wv, &corpus, 1e-3));
+        let ood = CorpusGenerator::out_of_domain(config.sgns.seed ^ 0x77, config.ood_docs);
+        let wv_ood = WordVectors::train_with_threads_obs(&ood, &config.sgns, threads, obs);
+        let sif_pretrained = Arc::new(SifModel::fit(wv_ood, &ood, 1e-3));
 
         let ingested = ingest(
             &world.kb,
@@ -223,28 +176,6 @@ mod tests {
             .relax_concept(concept, Some(stack.world.treatment_context()), 10)
             .unwrap();
         assert!(!res.answers.is_empty());
-    }
-
-    #[test]
-    fn cached_build_matches_fresh_build() {
-        let dir = std::env::temp_dir().join(format!("medkb-stack-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let a = EvalStack::build_cached(EvalConfig::tiny(104), &dir).unwrap();
-        // Second build must hit the cache and produce identical embeddings.
-        let b = EvalStack::build_cached(EvalConfig::tiny(104), &dir).unwrap();
-        let name = a.world.terminology.ekg.name(a.ingested.flagged.iter().next().unwrap());
-        let (va, vb) = (a.sif_trained.embed(name), b.sif_trained.embed(name));
-        match (va, vb) {
-            (Some(x), Some(y)) => {
-                for (p, q) in x.iter().zip(&y) {
-                    assert!((p - q).abs() < 1e-4);
-                }
-            }
-            (None, None) => {}
-            other => panic!("embedding presence diverged: {other:?}"),
-        }
-        assert_eq!(a.ingested.mappings.len(), b.ingested.mappings.len());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

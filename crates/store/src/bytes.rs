@@ -13,6 +13,7 @@
 //! clean [`MedKbError::Validation`].
 
 use std::io::{self, Write};
+use std::iter;
 
 use medkb_types::{MedKbError, Result, StringColumn, ValidationReport};
 
@@ -127,31 +128,53 @@ impl<'a> SectionWriter<'a> {
         self.put_u32s(s.iter().map(|v| v.to_bits()));
     }
 
-    /// Append a length-prefixed raw byte blob.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u64(b.len() as u64);
-        self.push(b);
+    /// Append a length-prefixed raw byte blob of `len` bytes, given in
+    /// `chunks`: one slice, or pieces streamed from the columns they encode.
+    pub fn put_bytes<B: AsRef<[u8]>>(&mut self, len: usize, chunks: impl IntoIterator<Item = B>) {
+        self.put_u64(len as u64);
+        for chunk in chunks {
+            self.push(chunk.as_ref());
+        }
         self.pad8();
     }
 
     /// Append a string list: count, `count + 1` cumulative byte offsets,
-    /// then the concatenated UTF-8 blob.
-    pub fn put_strings<I, S>(&mut self, strings: I)
+    /// then the concatenated UTF-8 blob. Streams: `strings` is walked
+    /// three times instead of being gathered into an arena first.
+    pub fn put_strings<'s, I>(&mut self, strings: I)
     where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
+        I: Iterator<Item = &'s str> + Clone,
     {
-        self.put_string_column(&strings.into_iter().collect());
+        let (count, len) = strings.clone().fold((0, 0), |(n, len), s| (n + 1, len + s.len()));
+        u32::try_from(len).expect("string list exceeds u32 offsets");
+        let ends = strings.clone().scan(0, |end, s| {
+            *end += s.len() as u32;
+            Some(*end)
+        });
+        self.put_string_list(count, iter::once(0).chain(ends), len, strings.map(str::as_bytes));
     }
 
     /// [`SectionWriter::put_strings`] for strings already in one arena.
     pub fn put_string_column(&mut self, column: &StringColumn) {
-        self.put_u64(column.len() as u64);
-        for &o in &column.offsets {
+        let text = column.text.as_bytes();
+        self.put_string_list(column.len(), column.offsets.iter().copied(), text.len(), [text]);
+    }
+
+    /// The string-list layout: `count`, its `count + 1` `offsets`, then a
+    /// blob of `len` bytes.
+    fn put_string_list<'b>(
+        &mut self,
+        count: usize,
+        offsets: impl Iterator<Item = u32>,
+        len: usize,
+        chunks: impl IntoIterator<Item = &'b [u8]>,
+    ) {
+        self.put_u64(count as u64);
+        for o in offsets {
             self.put_u32(o);
         }
         self.pad8();
-        self.put_bytes(column.text.as_bytes());
+        self.put_bytes(len, chunks);
     }
 
     /// Pad, hash and write what is left; return the section's length and
@@ -328,7 +351,9 @@ mod tests {
         w.put_u32_slice(&[1, 2, 3]);
         w.put_f64_slice(&[1.5, f64::NAN]);
         w.put_f32_slice(&[0.25]);
-        w.put_strings(["alpha", "", "βήτα"]);
+        w.put_strings(["alpha", "", "βήτα"].into_iter());
+        w.put_string_column(&["alpha", "", "βήτα"].into_iter().collect());
+        w.put_bytes(2, [[1u8], [2]]);
         let (len, checksum) = w.finish().unwrap();
         assert_eq!((len, checksum), (buf.len() as u64, crate::xxh64(&buf, 3)));
         assert_eq!(buf.len() % 8, 0);
@@ -342,6 +367,8 @@ mod tests {
         assert!(f[1].is_nan());
         assert_eq!(r.f32_slice().unwrap(), vec![0.25]);
         assert_eq!(r.strings().unwrap(), vec!["alpha", "", "βήτα"]);
+        assert_eq!(r.strings().unwrap(), vec!["alpha", "", "βήτα"]);
+        assert_eq!(r.bytes().unwrap(), [1, 2]);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!
 //! Reopened worlds are **bit-identical** to the ingest that produced them
 //! (pinned by the `medkb-fuzz` store round-trip oracle over adversarial
-//! worlds): every f64 table is persisted by bit pattern, the reachability
-//! exception pool is serialized canonically, and the only recomputed
-//! structures (the mapper's exact/edit/phonetic tables and n-gram repair
-//! index) are deterministic functions of persisted data.
+//! worlds): every section is the columns of the part it holds, encoded in
+//! place and decoded straight into that part; every f64 table is persisted
+//! by bit pattern, and the only recomputed structures (the reachability
+//! index's probe bitsets, the mapper's exact/edit/phonetic tables and
+//! n-gram repair index) are deterministic functions of persisted data.
 //!
 //! Corrupted files — truncation, bit flips, version or magic mismatch —
 //! are rejected with a [`medkb_types::MedKbError::Validation`] report

@@ -30,17 +30,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use medkb_core::{
-    ConceptMapper, FlagTable, FreqParts, Frequencies, IngestOutput, InstanceIndex, MapperParts,
-    MappingIndex, MappingMethod,
+    ConceptMapper, FlagTable, Frequencies, IngestOutput, InstanceIndex, MappingIndex, MappingMethod,
 };
-use medkb_ekg::{EdgeColumns, Ekg, EkgParts, ReachParts, ReachabilityIndex};
-use medkb_embed::{SifParts, WordVectorParts};
+use medkb_ekg::{EdgeColumns, Ekg, EkgParts, ReachabilityIndex};
+use medkb_embed::{EmbeddingIndex, SifModel, WordVectors};
 use medkb_ontology::ContextSpec;
 use medkb_snomed::oracle::N_TAGS;
 use medkb_snomed::ContextTag;
 use medkb_types::{
-    ContextId, ExtConceptId, Id, InstanceId, MedKbError, OntoConceptId, RelationshipId, Result,
-    ValidationReport,
+    ContextId, ExtConceptId, Id, IdVec, InstanceId, MedKbError, OntoConceptId, RelationshipId,
+    Result, StringInterner, ValidationReport,
 };
 
 use crate::bytes::{SectionReader, SectionWriter};
@@ -136,11 +135,11 @@ fn write_image<W: Write + Seek>(out: &IngestOutput, w: &mut W) -> io::Result<u64
         match i {
             0 => enc_ekg(&mut section, out.ekg.parts()),
             1 => enc_contexts(&mut section, &out.contexts, &out.tag_of),
-            2 => enc_freqs(&mut section, &out.freqs.to_parts()),
+            2 => enc_freqs(&mut section, &out.freqs),
             3 => enc_mappings(&mut section, &out.mappings),
             4 => enc_instances(&mut section, &out.instances_of),
-            5 => enc_reach(&mut section, &out.reach.to_parts()),
-            6 => enc_mapper(&mut section, &out.mapper.to_parts()),
+            5 => enc_reach(&mut section, &out.reach),
+            6 => enc_mapper(&mut section, &out.mapper),
             _ => enc_meta(&mut section, out),
         }
         let (len, checksum) = section.finish()?;
@@ -172,11 +171,11 @@ fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> 
     let n = ekg.as_ref().map_or(0, Ekg::len);
     let contexts = s.next(dec_contexts)?;
     let m = contexts.as_ref().map_or(0, |(c, _)| c.len());
-    let freqs = s.next(|b| dec_freqs(b).map(Frequencies::from_parts))?;
+    let freqs = s.next(|b| dec_freqs(b, n))?;
     let pairs = s.next(dec_mappings)?;
     let instances_of = s.next(dec_instances)?;
-    let reach = s.next(|b| dec_reach(b, n).map(ReachabilityIndex::from_parts))?;
-    let mapper = s.next(dec_mapper)?;
+    let reach = s.next(|b| dec_reach(b, n))?;
+    let mapper = s.next(|b| dec_mapper(b, n))?;
     let shortcuts_added = s.next(|b| dec_meta(b, n, m))?;
     // Every section decoded exactly when no defect was found.
     let (
@@ -186,13 +185,20 @@ fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> 
         Some(pairs),
         Some(instances_of),
         Some(reach),
-        Some(mapper),
+        Some((method, embedding)),
         Some(shortcuts_added),
     ) = (ekg, contexts, freqs, pairs, instances_of, reach, mapper, shortcuts_added)
     else {
         return Err(MedKbError::Validation(s.report));
     };
-    let mapper = ConceptMapper::from_parts(&ekg, mapper)?;
+    let mapper = match (method, embedding) {
+        (MappingMethod::Embedding { threshold }, Some((model, index))) => {
+            ConceptMapper::from_embedding(threshold, Arc::new(model), index)
+        }
+        // Exact, edit and phonetic tables derive from the graph. `dec_mapper`
+        // gives every embedding method its model, so this cannot fail.
+        (method, _) => ConceptMapper::build(&ekg, method, None)?,
+    };
     let flagged: FlagTable = pairs.iter().map(|&(_, c)| c).collect();
     Ok(IngestOutput {
         ekg: Arc::new(ekg),
@@ -445,7 +451,7 @@ fn enc_contexts(w: &mut SectionWriter<'_>, contexts: &[ContextSpec], tag_of: &[C
     w.put_u32s(contexts.iter().map(|c| c.domain.raw()));
     w.put_u32s(contexts.iter().map(|c| c.range.raw()));
     w.put_strings(contexts.iter().map(|c| c.label.as_str()));
-    w.put_bytes(&tag_of.iter().map(|t| t.index() as u8).collect::<Vec<u8>>());
+    w.put_bytes(tag_of.len(), tag_of.iter().map(|t| [t.index() as u8]));
 }
 
 fn dec_contexts(buf: &[u8]) -> Result<(Vec<ContextSpec>, Vec<ContextTag>)> {
@@ -483,24 +489,30 @@ fn dec_contexts(buf: &[u8]) -> Result<(Vec<ContextSpec>, Vec<ContextTag>)> {
     Ok((contexts, tag_of))
 }
 
-fn enc_freqs(w: &mut SectionWriter<'_>, parts: &FreqParts) {
+fn enc_freqs(w: &mut SectionWriter<'_>, f: &Frequencies) {
     w.put_u64(N_TAGS as u64);
-    for table in &parts.per_tag {
-        w.put_f64_slice(table);
+    for table in &f.per_tag {
+        w.put_f64_slice(table.as_slice());
     }
-    w.put_f64_slice(&parts.per_tag_total);
-    w.put_f64_slice(&parts.aggregate);
-    w.put_f64_slice(&parts.intrinsic);
-    for table in &parts.ic_per_tag {
-        w.put_f64_slice(table);
+    w.put_f64_slice(&f.per_tag_total);
+    w.put_f64_slice(f.aggregate.as_slice());
+    w.put_f64_slice(f.intrinsic.as_slice());
+    for table in &f.ic_per_tag {
+        w.put_f64_slice(table.as_slice());
     }
-    w.put_f64_slice(&parts.ic_aggregate);
-    w.put_f64_slice(&parts.min_ic_per_tag);
-    w.put_f64(parts.min_ic_aggregate);
-    w.put_f64(parts.min_intrinsic);
+    w.put_f64_slice(f.ic_aggregate.as_slice());
+    w.put_f64_slice(&f.min_ic_per_tag);
+    w.put_f64(f.min_ic_aggregate);
+    w.put_f64(f.min_intrinsic);
 }
 
-fn dec_freqs(buf: &[u8]) -> Result<FreqParts> {
+/// Decode the `freqs` section straight into the tables, checking that each
+/// holds one entry per concept of the `n`-concept graph, that every entry
+/// is finite and that each stored minimum is its table's: a table sized for
+/// another graph would index out of bounds on the first query, a NaN IC
+/// would score every answer NaN, and an inflated minimum would let
+/// score-bounded pruning (DESIGN.md §13) drop answers.
+fn dec_freqs(buf: &[u8], n: usize) -> Result<Frequencies> {
     let mut r = SectionReader::new(buf, "freqs");
     let tags = r.u64()? as usize;
     if tags != N_TAGS {
@@ -521,23 +533,33 @@ fn dec_freqs(buf: &[u8]) -> Result<FreqParts> {
     let min_ic_per_tag = r.f64_slice()?;
     let min_ic_aggregate = r.f64()?;
     let min_intrinsic = r.f64()?;
-    if per_tag_total.len() != N_TAGS || min_ic_per_tag.len() != N_TAGS {
+    let (Ok(per_tag_total), Ok(min_ic_per_tag)) =
+        (<[f64; N_TAGS]>::try_from(per_tag_total), <[f64; N_TAGS]>::try_from(min_ic_per_tag))
+    else {
         return r.fail("per-tag scalar arrays disagree with the tag count");
+    };
+    let tables =
+        || per_tag.iter().chain(&ic_per_tag).chain([&aggregate, &intrinsic, &ic_aggregate]);
+    if let Some(t) = tables().find(|t| t.len() != n) {
+        return r.fail(format!("a frequency table has {} entries for {n} concepts", t.len()));
     }
-    let n = aggregate.len();
-    if per_tag.iter().chain(&ic_per_tag).any(|t| t.len() != n)
-        || intrinsic.len() != n
-        || ic_aggregate.len() != n
-    {
-        return r.fail("frequency tables disagree on concept count");
+    let scalars = [&per_tag_total[..], &min_ic_per_tag, &[min_ic_aggregate, min_intrinsic]];
+    if !tables().map(Vec::as_slice).chain(scalars).all(|t| t.iter().all(|v| v.is_finite())) {
+        return r.fail("non-finite frequency or IC entry");
     }
-    Ok(FreqParts {
-        per_tag,
+    let own = [(&ic_aggregate, min_ic_aggregate), (&intrinsic, min_intrinsic)];
+    let stale = |(table, min): (&Vec<f64>, f64)| Frequencies::min_of(table) != min;
+    if ic_per_tag.iter().zip(min_ic_per_tag).chain(own).any(stale) {
+        return r.fail("a stored IC minimum is not its table's minimum");
+    }
+    let column = IdVec::from;
+    Ok(Frequencies {
+        per_tag: per_tag.into_iter().map(column).collect(),
         per_tag_total,
-        aggregate,
-        intrinsic,
-        ic_per_tag,
-        ic_aggregate,
+        aggregate: column(aggregate),
+        intrinsic: column(intrinsic),
+        ic_per_tag: ic_per_tag.into_iter().map(column).collect(),
+        ic_aggregate: column(ic_aggregate),
         min_ic_per_tag,
         min_ic_aggregate,
         min_intrinsic,
@@ -584,39 +606,55 @@ fn dec_instances(buf: &[u8]) -> Result<InstanceIndex> {
     Ok(InstanceIndex::from_parts(concepts, offsets, instances))
 }
 
-fn enc_reach(w: &mut SectionWriter<'_>, parts: &ReachParts) {
-    w.put_u32_slice(&parts.tin);
-    w.put_u32_slice(&parts.tout);
-    w.put_u32_slice(&parts.tree_depth);
-    w.put_u32_slice(&parts.exc);
-    w.put_u32_slice(&parts.set_offsets);
-    w.put_u32_slice(&parts.set_members);
+fn enc_reach(w: &mut SectionWriter<'_>, reach: &ReachabilityIndex) {
+    for column in reach.columns() {
+        w.put_u32_slice(column);
+    }
 }
 
-fn dec_reach(buf: &[u8], n: usize) -> Result<ReachParts> {
+/// Decode the `reach` section's columns and check what they mean before
+/// the index adopts them: DFS labels that number the `n` concepts once
+/// each with in-range subtree ends, and pooled sets of in-range members in
+/// strictly ascending order (each set is binary-searched, and
+/// `descendant_counts` indexes by member).
+fn dec_reach(buf: &[u8], n: usize) -> Result<ReachabilityIndex> {
     let mut r = SectionReader::new(buf, "reach");
-    let tin = r.u32_slice()?;
-    let tout = r.u32_slice()?;
-    let tree_depth = r.u32_slice()?;
-    let exc = r.u32_slice()?;
-    let set_offsets = r.u32_slice()?;
-    let set_members = r.u32_slice()?;
+    let mut columns: [Vec<u32>; 6] = Default::default();
+    for column in &mut columns {
+        *column = r.u32_slice()?;
+    }
+    let [tin, tout, tree_depth, exc, set_offsets, set_members] = &columns;
     if tin.len() != n || tout.len() != n || tree_depth.len() != n || exc.len() != n {
         return r.fail(format!("reachability labels disagree with {n} concepts"));
     }
-    let pool = set_offsets.len().saturating_sub(1) as u32;
-    if set_offsets.first().copied().unwrap_or(1) != 0
-        || set_offsets.last().copied().unwrap_or(1) as usize != set_members.len()
-        || set_offsets.windows(2).any(|w| w[0] > w[1])
-        || exc.iter().any(|&p| p >= pool.max(1))
-    {
+    let sets = set_offsets.len().saturating_sub(1);
+    if !spans(set_offsets, sets, set_members.len()) || exc.iter().any(|&s| s as usize >= sets) {
         return r.fail("exception pool offsets are inconsistent");
     }
-    Ok(ReachParts { tin, tout, tree_depth, exc, set_offsets, set_members })
+    let strictly_ascending = set_offsets.windows(2).all(|w| {
+        let set = &set_members[w[0] as usize..w[1] as usize];
+        set.windows(2).all(|p| p[0] < p[1])
+    });
+    if !strictly_ascending {
+        return r.fail("an exception set is not strictly ascending");
+    }
+    if set_members.iter().any(|&m| m as usize >= n) {
+        return r.fail(format!("exception member out of range ({n} concepts)"));
+    }
+    let mut seen = vec![false; n];
+    let permutation =
+        tin.iter().all(|&t| (t as usize) < n && !std::mem::replace(&mut seen[t as usize], true));
+    if !permutation {
+        return r.fail("tin is not a permutation of the concepts");
+    }
+    if tin.iter().zip(tout).any(|(&i, &o)| o < i || o as usize >= n) {
+        return r.fail("a subtree end lies outside its concept's range");
+    }
+    Ok(ReachabilityIndex::from_columns(columns))
 }
 
-fn enc_mapper(w: &mut SectionWriter<'_>, parts: &MapperParts) {
-    let (tag, tau, threshold) = match parts.method {
+fn enc_mapper(w: &mut SectionWriter<'_>, mapper: &ConceptMapper) {
+    let (tag, tau, threshold) = match mapper.method() {
         MappingMethod::Exact => (0u32, 0u32, 0.0),
         MappingMethod::Edit(tau) => (1, tau, 0.0),
         MappingMethod::Embedding { threshold } => (2, 0, threshold),
@@ -625,21 +663,33 @@ fn enc_mapper(w: &mut SectionWriter<'_>, parts: &MapperParts) {
     w.put_u32(tag);
     w.put_u32(tau);
     w.put_f64(threshold);
-    w.put_u64(u64::from(parts.sif.is_some()));
-    if let Some(sif) = &parts.sif {
-        w.put_strings(sif.vectors.words.iter());
-        w.put_f32_slice(&sif.vectors.vecs);
-        w.put_u64_slice(&sif.vectors.counts);
-        w.put_u64(sif.vectors.total_tokens);
-        w.put_u64(sif.vectors.dim);
-        w.put_f64(sif.a);
-        w.put_f32_slice(&sif.pc);
+    let embedding = mapper.embedding();
+    w.put_u64(u64::from(embedding.is_some()));
+    let mut index = (&[][..], &[][..]);
+    if let Some((model, concepts)) = embedding {
+        let v = &model.vectors;
+        w.put_strings(v.words());
+        w.put_f32_slice(&v.vecs);
+        w.put_u64_slice(v.counts.as_slice());
+        w.put_u64(v.total_tokens);
+        w.put_u64(v.dim as u64);
+        w.put_f64(model.a);
+        w.put_f32_slice(&model.pc);
+        let (_, payloads, data) = concepts.to_raw();
+        index = (payloads, data);
     }
-    w.put_u32_slice(&parts.index_payloads);
-    w.put_f32_slice(&parts.index_data);
+    w.put_u32_slice(index.0);
+    w.put_f32_slice(index.1);
 }
 
-fn dec_mapper(buf: &[u8]) -> Result<MapperParts> {
+/// What the `mapper` section holds: the method, and exactly when it is an
+/// embedding method, the fitted SIF model and the concept index.
+type StoredMapper = (MappingMethod, Option<(SifModel, EmbeddingIndex)>);
+
+/// Decode the `mapper` section, checking the model's arrays against its
+/// vocabulary and the index's payloads against the `n`-concept graph (each
+/// is a concept id a lookup returns).
+fn dec_mapper(buf: &[u8], n: usize) -> Result<StoredMapper> {
     let mut r = SectionReader::new(buf, "mapper");
     let tag = r.u32()?;
     let tau = r.u32()?;
@@ -652,35 +702,49 @@ fn dec_mapper(buf: &[u8]) -> Result<MapperParts> {
         other => return r.fail(format!("unknown mapping method tag {other}")),
     };
     let has_sif = r.u64()?;
-    let sif = if has_sif == 1 {
-        let words = r.strings()?;
+    let embedding = matches!(method, MappingMethod::Embedding { .. });
+    if has_sif != u64::from(embedding) {
+        return r.fail(format!("SIF presence flag {has_sif} for a {method:?} mapper"));
+    }
+    let model = if embedding {
+        let words = r.string_column()?;
         let vecs = r.f32_slice()?;
         let counts = r.u64_slice()?;
         let total_tokens = r.u64()?;
         let dim = r.u64()?;
         let a = r.f64()?;
         let pc = r.f32_slice()?;
-        if counts.len() != words.len() || vecs.len() as u64 != dim * words.len() as u64 {
+        let mut vocab = StringInterner::with_capacity(words.len());
+        for w in words.iter() {
+            vocab.intern(w);
+        }
+        if vocab.len() != words.len() {
+            return r.fail("the model's vocabulary repeats a word");
+        }
+        if counts.len() != words.len()
+            || dim.checked_mul(words.len() as u64) != Some(vecs.len() as u64)
+            || pc.len() as u64 != dim
+        {
             return r.fail("word-vector arrays disagree with the vocabulary size");
         }
-        Some(SifParts {
-            vectors: WordVectorParts { words, vecs, counts, total_tokens, dim },
-            a,
-            pc,
-        })
-    } else if has_sif == 0 {
-        None
+        let dim = dim as usize;
+        let vectors = WordVectors { vocab, vecs, counts: counts.into(), total_tokens, dim };
+        Some(SifModel { vectors, a, pc })
     } else {
-        return r.fail(format!("bad SIF presence flag {has_sif}"));
+        None
     };
     let index_payloads = r.u32_slice()?;
     let index_data = r.f32_slice()?;
-    if let Some(sif) = &sif {
-        if index_data.len() as u64 != sif.vectors.dim * index_payloads.len() as u64 {
-            return r.fail("embedding index arrays disagree with the model dimensionality");
-        }
+    if index_payloads.iter().any(|&c| c as usize >= n) {
+        return r.fail(format!("embedding index payload out of range ({n} concepts)"));
     }
-    Ok(MapperParts { method, sif, index_payloads, index_data })
+    let Some(model) = model else { return Ok((method, None)) };
+    let dim = model.vectors.dim;
+    if (dim as u64).checked_mul(index_payloads.len() as u64) != Some(index_data.len() as u64) {
+        return r.fail("embedding index arrays disagree with the model dimensionality");
+    }
+    let index = EmbeddingIndex::from_raw(dim, index_payloads, index_data);
+    Ok((method, Some((model, index))))
 }
 
 fn enc_meta(w: &mut SectionWriter<'_>, out: &IngestOutput) {

@@ -10,9 +10,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use medkb_core::{ingest, IngestOutput, MappingMethod, RelaxConfig};
+use medkb_core::{
+    ingest, ConceptMapper, Frequencies, FrequencyMode, IngestOutput, MappingMethod, RelaxConfig,
+};
 use medkb_corpus::{CorpusConfig, CorpusGenerator, MentionCounts};
-use medkb_embed::{SgnsConfig, SifModel, WordVectors};
+use medkb_embed::{EmbeddingIndex, SgnsConfig, SifModel, WordVectors};
 use medkb_snomed::{MedWorld, WorldConfig};
 use medkb_store::{xxh64, WorldStore};
 use medkb_types::MedKbError;
@@ -41,8 +43,8 @@ fn assert_same_world(a: &IngestOutput, b: &IngestOutput) {
     assert_eq!(a.mappings, b.mappings, "mappings diverged");
     assert_eq!(a.instances_of, b.instances_of, "instance index diverged");
     assert_eq!(a.flagged, b.flagged, "flagged set diverged");
-    assert_eq!(a.reach.to_parts(), b.reach.to_parts(), "reachability diverged");
-    assert_eq!(a.mapper.to_parts(), b.mapper.to_parts(), "mapper diverged");
+    assert_eq!(a.reach, b.reach, "reachability diverged");
+    assert!(a.mapper.bits_eq(&b.mapper), "mapper diverged");
     assert_eq!(a.shortcuts_added, b.shortcuts_added, "shortcut count diverged");
 }
 
@@ -354,4 +356,125 @@ fn checksum_valid_graph_defects_are_rejected_at_open() {
             Ok(_) => panic!("{want}: the broken graph opened"),
         }
     }
+}
+
+/// `open_bytes` of `bytes` fails with a defect of `section` whose message
+/// contains `want`.
+fn assert_defect(bytes: &[u8], section: &str, want: &str) {
+    match WorldStore::open_bytes(bytes) {
+        Err(MedKbError::Validation(report)) => assert!(
+            report.defects().iter().any(|d| d.document == section && d.message.contains(want)),
+            "expected a {section} defect containing {want:?}: {report}"
+        ),
+        Err(other) => panic!("{want}: unexpected error kind {other:?}"),
+        Ok(_) => panic!("{want}: the broken {section} section opened"),
+    }
+}
+
+/// Frequency tables sized for another graph, holding a non-finite entry or
+/// carrying a minimum above their table's are a `freqs` defect at open: the
+/// first would index out of bounds on every query, the second scores every
+/// answer NaN, the third lets score-bounded pruning drop answers.
+#[test]
+fn checksum_valid_freqs_defects_are_rejected_at_open() {
+    let out = tiny_world(23, MappingMethod::Exact);
+    let fragment = medkb_snomed::figures::paper_fragment().ekg;
+    assert_ne!(fragment.len(), out.ekg.len());
+    let no_counts = MentionCounts::from_direct(Default::default(), Default::default(), 0);
+    let other_graph =
+        Frequencies::compute(&fragment, &no_counts, FrequencyMode::PaperRecursive, false);
+    let mut nan_ic = (*out.freqs).clone();
+    nan_ic.ic_per_tag[0][out.ekg.root()] = f64::NAN;
+    let mut infinite_total = (*out.freqs).clone();
+    infinite_total.per_tag_total[1] = f64::INFINITY;
+    let mut inflated_tag_min = (*out.freqs).clone();
+    inflated_tag_min.min_ic_per_tag[0] += 1.0;
+    let mut inflated_intrinsic_min = (*out.freqs).clone();
+    inflated_intrinsic_min.min_intrinsic += 0.5;
+    let cases = [
+        (other_graph, "entries for"),
+        (nan_ic, "non-finite"),
+        (infinite_total, "non-finite"),
+        (inflated_tag_min, "minimum"),
+        (inflated_intrinsic_min, "minimum"),
+    ];
+    assert!(WorldStore::open_bytes(&WorldStore::save_bytes(&out)).is_ok());
+    for (freqs, want) in cases {
+        let tampered = IngestOutput { freqs: Arc::new(freqs), ..out.clone() };
+        assert_defect(&WorldStore::save_bytes(&tampered), "freqs", want);
+    }
+}
+
+/// Where the `reach` section's six u32 columns (`tin`, `tout`,
+/// `tree_depth`, `exc`, `set_offsets`, `set_members`) start in an image,
+/// and how many elements each has.
+fn reach_columns(bytes: &[u8]) -> [(usize, usize); 6] {
+    let mut pos = le_u64(bytes, 24 + 5 * 32 + 8); // section 5's offset
+    let mut columns = [(0, 0); 6];
+    for column in &mut columns {
+        let len = le_u64(bytes, pos);
+        *column = (pos + 8, len);
+        pos = (pos + 8 + 4 * len).div_ceil(8) * 8;
+    }
+    columns
+}
+
+/// A checksum-valid reachability section whose labels or exception sets
+/// break what the probes rely on is a `reach` defect at open — never a
+/// panic in `descendant_counts`, never a binary search over an unsorted
+/// set that answers `is_ancestor` wrongly.
+#[test]
+fn checksum_valid_reach_defects_are_rejected_at_open() {
+    let out = tiny_world(21, MappingMethod::Exact);
+    let clean = WorldStore::save_bytes(&out);
+    let n = out.ekg.len() as u32;
+    let [(tin, _), (tout, _), _, _, (offsets, sets_plus_one), (members, member_count)] =
+        reach_columns(&clean);
+    let u32_at = |column: usize, i: usize| le_u32(&clean, column + 4 * i);
+    let patched = |edits: &[(usize, u32)]| {
+        let mut b = clean.clone();
+        for &(pos, v) in edits {
+            b[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        reseal(&mut b);
+        b
+    };
+    // The first pooled set with two or more members, its first two swapped.
+    let set = (0..sets_plus_one - 1)
+        .find(|&s| u32_at(offsets, s + 1) - u32_at(offsets, s) >= 2)
+        .expect("a multi-member exception set");
+    let first = members + 4 * u32_at(offsets, set) as usize;
+    let (a, b) = (le_u32(&clean, first), le_u32(&clean, first + 4));
+    // A concept below the root: its DFS entry index is above 0.
+    let below = (0..n as usize).find(|&c| u32_at(tin, c) > 0).expect("a non-root concept");
+    let broken = [
+        (patched(&[(members + 4 * (member_count - 1), n + 5)]), "member out of range"),
+        (patched(&[(first, b), (first + 4, a)]), "not strictly ascending"),
+        (patched(&[(tin + 4, u32_at(tin, 0))]), "tin is not a permutation"),
+        (patched(&[(tout + 4 * below, u32_at(tin, below) - 1)]), "subtree end"),
+        (patched(&[(tout, n)]), "subtree end"),
+    ];
+    assert!(WorldStore::open_bytes(&clean).is_ok());
+    for (bytes, want) in broken {
+        assert_defect(&bytes, "reach", want);
+    }
+}
+
+/// An embedding index whose payloads lie outside the graph is a `mapper`
+/// defect at open: a lookup that returned one would panic on its first use
+/// (`Ekg::name`).
+#[test]
+fn checksum_valid_mapper_defects_are_rejected_at_open() {
+    let out = tiny_world(11, MappingMethod::embedding_default());
+    let MappingMethod::Embedding { threshold } = out.mapper.method() else {
+        panic!("an embedding mapper")
+    };
+    let (model, index) = out.mapper.embedding().expect("an embedding model and index");
+    let (dim, payloads, data) = index.to_raw();
+    let n = out.ekg.len() as u32;
+    let outside = EmbeddingIndex::from_raw(dim, vec![n + 5; payloads.len()], data.to_vec());
+    let mapper = ConceptMapper::from_embedding(threshold, Arc::new(model.clone()), outside);
+    let tampered = IngestOutput { mapper: Arc::new(mapper), ..out.clone() };
+    assert!(WorldStore::open_bytes(&WorldStore::save_bytes(&out)).is_ok());
+    assert_defect(&WorldStore::save_bytes(&tampered), "mapper", "payload out of range");
 }

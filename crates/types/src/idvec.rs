@@ -129,6 +129,13 @@ impl<I: Id, T> FromIterator<T> for IdVec<I, T> {
     }
 }
 
+/// Adopts the vector's buffer as it is.
+impl<I: Id, T> From<Vec<T>> for IdVec<I, T> {
+    fn from(items: Vec<T>) -> Self {
+        Self { items, _marker: PhantomData }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

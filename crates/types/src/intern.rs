@@ -89,7 +89,7 @@ impl<I: Id> StringInterner<I> {
     }
 
     /// Iterate over `(id, string)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (I, &str)> {
+    pub fn iter(&self) -> impl Iterator<Item = (I, &str)> + Clone {
         self.strings.iter().enumerate().map(|(i, s)| (I::from_usize(i), &**s))
     }
 }

@@ -18,9 +18,12 @@ cargo test -q
 # training at 2/4/8 threads (embed), the per-method evaluation runs
 # (eval), and the store's round-trip, corruption, pinned-bytes and
 # checksum-valid graph-defect tests (store), plus the generator's
-# determinism and world tests (snomed).
+# determinism and world tests (snomed), the tokenizer's properties (text),
+# the KB, ontology and NLI suites, and the shared JSON codec's
+# accept/reject corpus that the wire parser relies on (obs).
 cargo test -q -p medkb-ekg -p medkb-core -p medkb-serve -p medkb-types -p medkb-corpus \
-    -p medkb-embed -p medkb-eval -p medkb-store -p medkb-snomed
+    -p medkb-embed -p medkb-eval -p medkb-store -p medkb-snomed -p medkb-text -p medkb-kb \
+    -p medkb-ontology -p medkb-nli -p medkb-obs
 
 # The benchmark worlds pinned bit for bit: digests of
 # `scaled_world_and_corpus` at 4k and 20k concepts against recorded
