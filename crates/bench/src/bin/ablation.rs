@@ -88,10 +88,10 @@ fn main() {
     push(&mut labels, &mut runs, "exact descendant-set freq", &exact_freq);
 
     let no_shortcut_ing = stack
-        .ingest_with_config(&RelaxConfig { add_shortcuts: false, ..base.clone() })
+        .ingest_with_config(&RelaxConfig { use_shortcuts: false, ..base.clone() })
         .expect("ingest");
     let no_shortcuts =
-        QueryRelaxer::new(no_shortcut_ing, RelaxConfig { add_shortcuts: false, ..base.clone() });
+        QueryRelaxer::new(no_shortcut_ing, RelaxConfig { use_shortcuts: false, ..base.clone() });
     push(&mut labels, &mut runs, "no shortcut edges", &no_shortcuts);
 
     let rows = pool_and_score(&stack, &workload, DEFAULT_RELEVANCE_THRESHOLD, &labels, &runs, k);
@@ -147,7 +147,7 @@ fn main() {
     let mut examples: Vec<PathExample> = Vec::new();
     for &(q, _, tag) in workload.queries.iter().take(40) {
         let ext_q = Oracle::extension(&term.ekg, q);
-        for (b, _) in stack.ingested.ekg.neighborhood(q, 4) {
+        for (b, _) in stack.ingested.ekg.neighborhood(q, 4, stack.ingested.shortcuts.list()) {
             if !stack.ingested.flagged.contains(&b) {
                 continue;
             }

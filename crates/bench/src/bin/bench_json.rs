@@ -202,7 +202,7 @@ fn run_ingest_bench(quick: bool, scale: usize) {
             // reproduces the reference bit for bit.
             assert_eq!(out.mappings, reference.mappings, "mappings diverged");
             assert_eq!(out.flagged, reference.flagged, "flagged set diverged");
-            assert_eq!(out.shortcuts_added, reference.shortcuts_added, "shortcut count diverged");
+            assert_eq!(out.shortcuts, reference.shortcuts, "shortcuts diverged");
             assert_eq!(out.freqs, reference.freqs, "frequency tables diverged");
             let total_median = median(&mut totals);
             let speedup = reference_median / total_median;
@@ -997,7 +997,7 @@ fn run_federated_bench(quick: bool, scale: usize) {
     let registry = Registry::shared();
     let ingest_cfg = RelaxConfig {
         mapping: MappingMethod::Exact,
-        add_shortcuts: true,
+        use_shortcuts: true,
         obs: ObsConfig::with_registry(Arc::clone(&registry)),
         ..RelaxConfig::default()
     };
@@ -1286,7 +1286,7 @@ fn main() {
             relaxer
                 .ingested()
                 .ekg
-                .neighborhood(q, radius)
+                .neighborhood(q, radius, relaxer.ingested().shortcuts.list())
                 .into_iter()
                 .filter(|(c, _)| *c != q && relaxer.ingested().flagged.contains(c))
                 .count()

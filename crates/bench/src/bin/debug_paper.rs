@@ -9,7 +9,7 @@ fn main() {
     eprintln!("stack built in {:?}", t0.elapsed());
     eprintln!("world: {} concepts, {} instances, {} mapped, {} shortcuts",
         stack.world.terminology.ekg.len(), stack.world.kb.instance_count(),
-        stack.ingested.mappings.len(), stack.ingested.shortcuts_added);
+        stack.ingested.mappings.len(), stack.ingested.shortcuts.len());
     let t1 = Instant::now();
     for row in evaluate_mappings(&stack) {
         println!("T1 {:<10} P={:6.2} R={:6.2} F1={:6.2}", row.method, row.prf.precision, row.prf.recall, row.prf.f1);

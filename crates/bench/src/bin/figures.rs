@@ -64,19 +64,19 @@ fn main() {
         let deep = f.concept(deep_name);
         let kd = f.concept("kidney disease");
         (
-            f.ekg.neighborhood(deep, 1).iter().any(|&(c, _)| c == kd),
+            f.ekg.neighborhood(deep, 1, &[]).iter().any(|&(c, _)| c == kd),
             f.ekg.distance_to_ancestor(deep, kd).unwrap(),
         )
     };
     let out = ingest(&kb, f.ekg.clone(), &counts, None, &config).unwrap();
     let deep = out.ekg.lookup_name(deep_name)[0];
     let kd = out.ekg.lookup_name("kidney disease")[0];
-    let edge = out.ekg.parents(deep).iter().find(|e| e.to == kd).unwrap();
+    let shortcut = out.shortcuts.list().iter().find(|s| (s.0, s.1) == (deep, kd)).unwrap();
     println!("before ingestion: 1-hop reachable = {}, semantic distance = {}", before.0, before.1);
     println!(
         "after ingestion:  1-hop reachable = {}, shortcut edge weight (original distance) = {}",
-        out.ekg.neighborhood(deep, 1).iter().any(|&(c, _)| c == kd),
-        edge.weight
+        out.ekg.neighborhood(deep, 1, out.shortcuts.list()).iter().any(|&(c, _)| c == kd),
+        shortcut.2
     );
     println!("(paper: 3 hops collapse to 1, original distance 3 preserved on the edge)\n");
 

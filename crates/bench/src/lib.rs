@@ -153,7 +153,7 @@ pub fn world_digest(world: &MedWorld, corpus: &Corpus) -> u64 {
     h.u64(ekg.len() as u64);
     for c in ekg.concepts() {
         h.str(ekg.name(c));
-        let parents = ekg.parents(c).targets();
+        let parents = ekg.parents(c);
         h.u64(parents.len() as u64);
         for p in parents {
             h.id(Some(p.as_u32()));

@@ -6,13 +6,13 @@
 //!
 //! * `QR` and its ablations — [`crate::similarity::QrScorer`] under the
 //!   [`crate::config::RelaxConfig`] flags.
-//! * `IC` — the plain corpus information-content similarity [2], i.e.
+//! * `IC` — the plain corpus information-content similarity \[2\], i.e.
 //!   Eq. 3 with aggregate frequencies and no path factor
 //!   ([`RelaxConfig::ic_baseline`]).
 //! * `Embedding-trained` / `Embedding-pre-trained` — cosine similarity of
 //!   SIF phrase embeddings of the concept names ([`EmbeddingRanker`]); the
 //!   two variants differ only in the corpus the model was fitted on.
-//! * `Wu-Palmer` — the classic depth-based path similarity [42]
+//! * `Wu-Palmer` — the classic depth-based path similarity \[42\]
 //!   ([`WuPalmerRanker`]), an extra reference point.
 
 use std::sync::Arc;

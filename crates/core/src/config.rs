@@ -155,8 +155,9 @@ pub struct RelaxConfig {
     pub use_tfidf: bool,
     /// Frequency rollup semantics.
     pub frequency_mode: FrequencyMode,
-    /// Run the §5.1 sparsity customization (shortcut edges).
-    pub add_shortcuts: bool,
+    /// Run the §5.1 sparsity customization: shortcuts the candidate scan
+    /// counts as one hop (off = the native graph's hops alone).
+    pub use_shortcuts: bool,
     /// Matcher used for instances (offline) and query terms (online).
     pub mapping: MappingMethod,
     /// Online fallback: when a multi-word query term resolves to nothing,
@@ -165,15 +166,6 @@ pub struct RelaxConfig {
     /// behaviour §3 alludes to. Off by default so Table 1's matcher
     /// comparison stays pure.
     pub strip_modifiers: bool,
-    /// Score-bounded top-k pruning (DESIGN.md §13): skip the exact LCS
-    /// evaluation for candidates whose admissible Eq. 5 upper bound cannot
-    /// beat the current k-th answer, and terminate whole remaining rings
-    /// once the ring-level cap falls below it. Answers are bit-identical
-    /// with the flag on or off (the bound is admissible and exact ties are
-    /// never skipped), so this is purely a latency knob; it silently
-    /// deactivates for configurations the bound derivation does not cover
-    /// (step weights above 1, relevance-feedback rescoring).
-    pub pruning: bool,
     /// Thread budget for offline ingestion (outputs are thread-count
     /// independent).
     pub parallel: ParallelConfig,
@@ -195,10 +187,9 @@ impl Default for RelaxConfig {
             use_path_weight: true,
             use_tfidf: true,
             frequency_mode: FrequencyMode::PaperRecursive,
-            add_shortcuts: true,
+            use_shortcuts: true,
             mapping: MappingMethod::embedding_default(),
             strip_modifiers: false,
-            pruning: true,
             parallel: ParallelConfig::default(),
             obs: ObsConfig::default(),
         }
@@ -272,11 +263,8 @@ impl RelaxConfig {
     /// growth, the ablation switches, frequency semantics, shortcut
     /// customization, mapping method (with its parameters), and the
     /// strip-modifiers fallback. Excluded by design: [`ParallelConfig`]
-    /// (outputs are thread-count independent, DESIGN.md §9), [`ObsConfig`]
-    /// (instrumentation is inert on results, §10), and the
-    /// [`RelaxConfig::pruning`] switch (the bounded scan returns
-    /// bit-identical answers, §13 — so pruned and exhaustive servers may
-    /// share cache entries).
+    /// (outputs are thread-count independent, DESIGN.md §9) and
+    /// [`ObsConfig`] (instrumentation is inert on results, §10).
     pub fn result_fingerprint(&self) -> u64 {
         // FNV-1a, same construction the token trie uses: stable across
         // runs and platforms, unlike `DefaultHasher` whose algorithm is
@@ -299,7 +287,7 @@ impl RelaxConfig {
             u8::from(self.use_corpus),
             u8::from(self.use_path_weight),
             u8::from(self.use_tfidf),
-            u8::from(self.add_shortcuts),
+            u8::from(self.use_shortcuts),
             u8::from(self.strip_modifiers),
             match self.frequency_mode {
                 FrequencyMode::PaperRecursive => 0,
@@ -393,12 +381,10 @@ mod tests {
         let base = RelaxConfig::default();
         // Deterministic across calls.
         assert_eq!(base.result_fingerprint(), base.result_fingerprint());
-        // Result-inert knobs never move it: threads, observability, and
-        // the score-bounded pruning switch (bit-identical answers, §13).
+        // Result-inert knobs never move it: threads and observability.
         let threaded = RelaxConfig {
             parallel: ParallelConfig { threads: 8, clamp_to_cores: false },
             obs: ObsConfig::enabled(),
-            pruning: false,
             ..base.clone()
         };
         assert_eq!(base.result_fingerprint(), threaded.result_fingerprint());
@@ -414,7 +400,7 @@ mod tests {
             RelaxConfig { use_path_weight: false, ..base.clone() },
             RelaxConfig { use_tfidf: false, ..base.clone() },
             RelaxConfig { frequency_mode: FrequencyMode::DescendantSet, ..base.clone() },
-            RelaxConfig { add_shortcuts: false, ..base.clone() },
+            RelaxConfig { use_shortcuts: false, ..base.clone() },
             RelaxConfig { mapping: MappingMethod::Exact, ..base.clone() },
             RelaxConfig { mapping: MappingMethod::edit_tau2(), ..base.clone() },
             RelaxConfig { mapping: MappingMethod::Edit(3), ..base.clone() },

@@ -71,7 +71,7 @@ pub mod obs_names {
     pub const FULL_REMAPS: &str = "delta.full_remaps";
     /// Documents incrementally recounted (counter).
     pub const DOCS_RECOUNTED: &str = "delta.docs.recounted";
-    /// Shortcut-stage reruns (graph, name, or flagged-set change) (counter).
+    /// Shortcut-stage reruns (graph or flagged-set change) (counter).
     pub const SHORTCUT_RERUNS: &str = "delta.shortcut_reruns";
 }
 
@@ -231,9 +231,9 @@ struct DirtyState {
 }
 
 /// The long-lived incremental-ingestion engine: owns the mutable inputs
-/// (KB, corpus, native graph), the intermediate state that makes patching
-/// cheap (counts + trie, raw frequency tables, mapping pairs), and the
-/// current derived [`IngestOutput`].
+/// (KB, corpus, graph), the intermediate state that makes patching cheap
+/// (counts + trie, raw frequency tables, mapping pairs), and the current
+/// derived [`IngestOutput`], whose graph is the engine's.
 ///
 /// Lifecycle: build once ([`DeltaEngine::new`] runs a full ingest,
 /// [`DeltaEngine::from_opened`] adopts a store-opened output), then
@@ -243,9 +243,11 @@ struct DirtyState {
 pub struct DeltaEngine {
     kb: Kb,
     corpus: Corpus,
-    /// The native external graph (no shortcut edges) — the canonical
-    /// mutable input. `out.ekg` is derived from it per publish.
-    ekg: Ekg,
+    /// A graph ahead of the output's, left by a failed delta that added a
+    /// concept (ids never shrink); the next apply publishes it. Otherwise
+    /// the engine's graph is `out.ekg`, edited through `Arc::make_mut`,
+    /// which copies it only while a published epoch shares it.
+    ahead: Option<Ekg>,
     sif: Option<Arc<SifModel>>,
     config: RelaxConfig,
     counts: MentionCounts,
@@ -267,16 +269,16 @@ impl DeltaEngine {
         config: RelaxConfig,
     ) -> Result<Self> {
         let (counts, trie) = count_fresh(&corpus, &ekg, config.parallel.effective_threads());
-        let out = ingest(&kb, ekg.clone(), &counts, sif.clone(), &config)?;
-        Ok(Self::assemble(kb, corpus, ekg, sif, config, (counts, trie), out))
+        let out = ingest(&kb, ekg, &counts, sif.clone(), &config)?;
+        Ok(Self::assemble(kb, corpus, sif, config, (counts, trie), out))
     }
 
     /// Adopt a store-opened (or otherwise prebuilt) [`IngestOutput`]
-    /// instead of re-running the full ingest. `ekg` must be the native
-    /// (shortcut-free) graph `out` was built from; counts and raw
-    /// frequency state are recomputed deterministically from the inputs.
-    /// One name trie serves both: the counts are taken through the
-    /// [`CountTrie`] the engine then keeps for delta recounts.
+    /// instead of re-running the full ingest. `ekg` must be the graph `out`
+    /// was built from (debug-asserted); the engine keeps `out`'s and drops
+    /// it. Counts and raw frequency state are recomputed deterministically
+    /// from the inputs. One name trie serves both: the counts are taken
+    /// through the [`CountTrie`] the engine then keeps for delta recounts.
     pub fn from_opened(
         kb: Kb,
         corpus: Corpus,
@@ -285,28 +287,31 @@ impl DeltaEngine {
         config: RelaxConfig,
         out: IngestOutput,
     ) -> Self {
-        let counted = count_fresh(&corpus, &ekg, config.parallel.effective_threads());
-        Self::assemble(kb, corpus, ekg, sif, config, counted, out)
+        debug_assert!(ekg == *out.ekg, "the opened world's graph is not the input graph");
+        // The engine keeps the opened copy: free this one before the count
+        // trie is built beside it.
+        drop(ekg);
+        let counted = count_fresh(&corpus, &out.ekg, config.parallel.effective_threads());
+        Self::assemble(kb, corpus, sif, config, counted, out)
     }
 
     fn assemble(
         kb: Kb,
         corpus: Corpus,
-        ekg: Ekg,
         sif: Option<Arc<SifModel>>,
         config: RelaxConfig,
         (counts, trie): (MentionCounts, CountTrie),
         out: IngestOutput,
     ) -> Self {
         let raw = RawFrequencies::compute(
-            &ekg,
+            &out.ekg,
             &counts,
             config.frequency_mode,
             config.use_tfidf,
             config.parallel.effective_threads(),
         );
         let pairs = out.mappings.as_slice().to_vec();
-        Self { kb, corpus, ekg, sif, config, counts, trie, raw, pairs, out }
+        Self { kb, corpus, ahead: None, sif, config, counts, trie, raw, pairs, out }
     }
 
     /// The current derived output. Publish clones of it through the
@@ -329,9 +334,18 @@ impl DeltaEngine {
         &self.corpus
     }
 
-    /// The native (shortcut-free) external graph input.
+    /// The external graph input: the output's graph, unless a failed
+    /// delta left an added concept ahead of it.
     pub fn native_ekg(&self) -> &Ekg {
-        &self.ekg
+        self.ahead.as_ref().unwrap_or(&self.out.ekg)
+    }
+
+    /// The graph the inputs are edited in.
+    fn ekg_mut(&mut self) -> &mut Ekg {
+        match &mut self.ahead {
+            Some(ekg) => ekg,
+            None => Arc::make_mut(&mut self.out.ekg),
+        }
     }
 
     /// The current mention counts.
@@ -360,17 +374,28 @@ impl DeltaEngine {
         let t = Instant::now();
         let mut dirty = DirtyState::default();
         let mut undo: Vec<DeltaOp> = Vec::new();
-        let concepts = self.ekg.len();
+        let concepts = self.native_ekg().len();
+        // Every other op rolls back exactly, but a failed delta cannot take
+        // back a concept it added: a delta that may add one edits a copy,
+        // so the output keeps its graph if the delta fails.
+        let adds_concept = delta.ops.iter().any(|op| matches!(op, DeltaOp::AddConcept { .. }));
+        if adds_concept && self.ahead.is_none() {
+            self.ahead = Some((*self.out.ekg).clone());
+        }
         for (at, op) in delta.ops.iter().enumerate() {
             match self.apply_input_op(op, &mut dirty) {
                 Ok(mut inv) => undo.append(&mut inv),
                 Err(e) => {
                     self.rollback(undo);
-                    // Concepts added by the failed delta stay as retired
-                    // leaves; derive the native tables that must cover
-                    // them. The output catches up on the next apply.
-                    if self.ekg.len() != concepts {
-                        self.ekg.rebuild_derived().expect("rolled-back graph stays valid");
+                    // Concepts added by the failed delta stay ahead as
+                    // retired leaves; derive the tables that must cover
+                    // them. The output catches up on the next apply. A
+                    // copy left with nothing added equals the output's.
+                    if self.native_ekg().len() != concepts {
+                        self.ekg_mut().rebuild_derived().expect("rolled-back graph stays valid");
+                    }
+                    if self.ahead.as_ref().is_some_and(|g| g.len() == self.out.ekg.len()) {
+                        self.ahead = None;
                     }
                     let mut report = ValidationReport::new();
                     report.defect("delta", Some(at + 1), e.to_string());
@@ -383,8 +408,11 @@ impl DeltaEngine {
         }
         // The output covers the concepts of the last recompute; any added
         // since (by this delta or a failed one) are recomputed as added.
-        for c in self.out.ekg.len()..self.ekg.len() {
+        for c in self.out.ekg.len()..self.native_ekg().len() {
             dirty.note_added_concept(ExtConceptId::from_usize(c));
+        }
+        if let Some(ekg) = self.ahead.take() {
+            self.out.ekg = Arc::new(ekg);
         }
         self.recompute(&dirty);
         if let Some(reg) = self.config.obs.registry() {
@@ -456,17 +484,17 @@ impl DeltaEngine {
                 Ok(vec![DeltaOp::RemoveInstance { id: *id }])
             }
             DeltaOp::AddSynonym { concept, synonym } => {
-                let index = self.ekg.add_synonym(*concept, synonym)?;
+                let index = self.ekg_mut().add_synonym(*concept, synonym)?;
                 dirty.names_changed = true;
                 Ok(vec![DeltaOp::RemoveSynonym { concept: *concept, index }])
             }
             DeltaOp::InsertSynonymAt { concept, index, synonym } => {
-                let at = self.ekg.insert_synonym_at(*concept, *index, synonym)?;
+                let at = self.ekg_mut().insert_synonym_at(*concept, *index, synonym)?;
                 dirty.names_changed = true;
                 Ok(vec![DeltaOp::RemoveSynonym { concept: *concept, index: at }])
             }
             DeltaOp::RemoveSynonym { concept, index } => {
-                let synonym = self.ekg.remove_synonym(*concept, *index)?;
+                let synonym = self.ekg_mut().remove_synonym(*concept, *index)?;
                 dirty.names_changed = true;
                 Ok(vec![DeltaOp::InsertSynonymAt {
                     concept: *concept,
@@ -475,20 +503,20 @@ impl DeltaEngine {
                 }])
             }
             DeltaOp::AddIsA { child, parent } => {
-                let anc_old = self.ekg.ancestors(*child);
-                self.ekg.add_is_a(*child, *parent)?;
+                let anc_old = self.native_ekg().ancestors(*child);
+                self.ekg_mut().add_is_a(*child, *parent)?;
                 dirty.note_edge_churn(*child, anc_old);
                 Ok(vec![DeltaOp::RemoveIsA { child: *child, parent: *parent }])
             }
             DeltaOp::AddIsAAt { child, parent, up_pos, down_pos } => {
-                let anc_old = self.ekg.ancestors(*child);
-                self.ekg.add_is_a_at(*child, *parent, *up_pos, *down_pos)?;
+                let anc_old = self.native_ekg().ancestors(*child);
+                self.ekg_mut().add_is_a_at(*child, *parent, *up_pos, *down_pos)?;
                 dirty.note_edge_churn(*child, anc_old);
                 Ok(vec![DeltaOp::RemoveIsA { child: *child, parent: *parent }])
             }
             DeltaOp::RemoveIsA { child, parent } => {
-                let anc_old = self.ekg.ancestors(*child);
-                let (up_pos, down_pos) = self.ekg.remove_is_a(*child, *parent)?;
+                let anc_old = self.native_ekg().ancestors(*child);
+                let (up_pos, down_pos) = self.ekg_mut().remove_is_a(*child, *parent)?;
                 dirty.note_edge_churn(*child, anc_old);
                 Ok(vec![DeltaOp::AddIsAAt {
                     child: *child,
@@ -498,7 +526,7 @@ impl DeltaEngine {
                 }])
             }
             DeltaOp::AddConcept { name, synonyms, parents } => {
-                let id = self.ekg.add_concept(name, synonyms, parents)?;
+                let id = self.ekg_mut().add_concept(name, synonyms, parents)?;
                 dirty.note_added_concept(id);
                 Ok(vec![DeltaOp::RetireConcept { concept: id }])
             }
@@ -547,23 +575,23 @@ impl DeltaEngine {
         concept: ExtConceptId,
         dirty: &mut DirtyState,
     ) -> Result<Vec<DeltaOp>> {
-        if Id::as_usize(concept) >= self.ekg.len() {
+        let ekg = self.native_ekg();
+        if Id::as_usize(concept) >= ekg.len() {
             return Err(MedKbError::invalid(format!(
                 "retire_concept: concept id {} out of range",
                 Id::as_usize(concept)
             )));
         }
-        if concept == self.ekg.root() {
+        if concept == ekg.root() {
             return Err(MedKbError::invalid("retire_concept: cannot retire the root"));
         }
-        let children: Vec<ExtConceptId> = self.ekg.native_children(concept).collect();
-        let parents: Vec<ExtConceptId> =
-            self.ekg.parents(concept).iter().map(|e| e.to).collect();
+        let children = ekg.children(concept).to_vec();
+        let parents = ekg.parents(concept).to_vec();
         let mut undo: Vec<DeltaOp> = Vec::new();
         for &child in &children {
             let mut ops: Vec<DeltaOp> = Vec::new();
             for &p in &parents {
-                if !self.ekg.parents(child).iter().any(|e| e.to == p) {
+                if !self.native_ekg().parents(child).contains(&p) {
                     ops.push(DeltaOp::AddIsA { child, parent: p });
                 }
             }
@@ -590,8 +618,9 @@ impl DeltaEngine {
 
         // —— Graph derived state (topo, depth, name lookup) ——
         if dirty.graph_changed || dirty.names_changed {
-            self.ekg.rebuild_derived().expect("delta graph stays acyclic and rooted");
+            self.ekg_mut().rebuild_derived().expect("delta graph stays acyclic and rooted");
         }
+        let ekg = &*self.out.ekg;
 
         // —— Mention counts ——
         let docs_churned = !dirty.docs_added.is_empty() || !dirty.docs_removed.is_empty();
@@ -600,7 +629,7 @@ impl DeltaEngine {
         let n_docs_changed = dirty.docs_added.len() != dirty.docs_removed.len();
         let mut touched_direct: HashSet<ExtConceptId> = HashSet::new();
         if counts_full {
-            (self.counts, self.trie) = count_fresh(&self.corpus, &self.ekg, threads);
+            (self.counts, self.trie) = count_fresh(&self.corpus, ekg, threads);
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::FULL_RECOUNTS).inc();
             }
@@ -624,14 +653,14 @@ impl DeltaEngine {
             // full instance scan (bit-identical to the pipeline's sharded
             // scan, which merges in shard order).
             self.out.mapper = Arc::new(
-                ConceptMapper::build(&self.ekg, self.config.mapping, self.sif.clone())
+                ConceptMapper::build(ekg, self.config.mapping, self.sif.clone())
                     .expect("mapper rebuild with unchanged config and frozen SIF"),
             );
             self.pairs = self
                 .kb
                 .instances()
                 .filter_map(|(id, inst)| {
-                    self.out.mapper.map(&self.ekg, &inst.name).map(|c| (id, c))
+                    self.out.mapper.map(ekg, &inst.name).map(|c| (id, c))
                 })
                 .collect();
             mapping_changed = true;
@@ -646,7 +675,7 @@ impl DeltaEngine {
                 let mapped = if self.kb.is_retired(id) {
                     None
                 } else {
-                    self.out.mapper.map(&self.ekg, self.kb.name(id))
+                    self.out.mapper.map(ekg, self.kb.name(id))
                 };
                 match (slot, mapped) {
                     (Ok(at), Some(c)) => self.pairs[at].1 = c,
@@ -670,19 +699,19 @@ impl DeltaEngine {
 
         // —— Reachability ——
         if dirty.graph_changed {
-            let n = self.ekg.len();
+            let n = ekg.len();
             let mut cone: HashSet<ExtConceptId> = HashSet::new();
             for &seed in &dirty.reach_seeds {
                 cone.insert(seed);
-                cone.extend(self.ekg.descendants(seed));
+                cone.extend(ekg.descendants(seed));
             }
             if (cone.len() as f64) >= REACH_REBUILD_THRESHOLD * (n as f64) {
-                self.out.reach = Arc::new(ReachabilityIndex::build(&self.ekg));
+                self.out.reach = Arc::new(ReachabilityIndex::build(ekg));
                 if let Some(reg) = self.config.obs.registry() {
                     reg.counter(obs_names::FALLBACK_FULL_REBUILDS).inc();
                 }
             } else {
-                self.out.reach = Arc::new(self.out.reach.repair(&self.ekg, &cone));
+                self.out.reach = Arc::new(self.out.reach.repair(ekg, &cone));
             }
         }
 
@@ -690,19 +719,19 @@ impl DeltaEngine {
         let freq_full = counts_full || (self.config.use_tfidf && n_docs_changed);
         if freq_full {
             self.raw = RawFrequencies::compute(
-                &self.ekg,
+                ekg,
                 &self.counts,
                 self.config.frequency_mode,
                 self.config.use_tfidf,
                 threads,
             );
             self.out.freqs =
-                Arc::new(Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach)));
+                Arc::new(Frequencies::finish(ekg, &self.raw, Some(&self.out.reach)));
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::FULL_FREQ_RECOMPUTES).inc();
             }
         } else if !touched_direct.is_empty() || dirty.graph_changed {
-            self.raw.grow(self.ekg.len());
+            self.raw.grow(ekg.len());
             self.raw.patch_direct(
                 &self.counts,
                 self.config.use_tfidf,
@@ -715,31 +744,28 @@ impl DeltaEngine {
             let mut cone: HashSet<ExtConceptId> = HashSet::new();
             for &seed in touched_direct.iter().chain(&dirty.freq_seeds) {
                 cone.insert(seed);
-                cone.extend(self.ekg.ancestors(seed));
+                cone.extend(ekg.ancestors(seed));
             }
             self.raw.patch_rollup(
-                &self.ekg,
+                ekg,
                 self.config.frequency_mode,
                 &self.out.reach,
                 &cone,
             );
             self.out.freqs =
-                Arc::new(Frequencies::finish(&self.ekg, &self.raw, Some(&self.out.reach)));
+                Arc::new(Frequencies::finish(ekg, &self.raw, Some(&self.out.reach)));
         }
 
-        // —— Shortcut customization ——
-        // The published graph re-derives whenever its native skeleton,
-        // name tables, or the flagged set changed; otherwise the previous
-        // customized graph is reused byte-for-byte.
-        if dirty.graph_changed || dirty.names_changed || flagged_changed {
-            let mut ekg = self.ekg.clone();
-            self.out.shortcuts_added = if self.config.add_shortcuts {
-                customize(&mut ekg, &self.out.flagged, &self.out.reach, threads)
-                    .expect("rediscovered shortcuts stay valid")
-            } else {
-                0
-            };
-            self.out.ekg = Arc::new(ekg);
+        // —— Shortcut overlay ——
+        // Rediscovered whenever the graph or the flagged set changed; a
+        // name change alone moves no edge and no flag, so the previous
+        // overlay is shared as it is.
+        if dirty.graph_changed || flagged_changed {
+            let (flagged, reach) = (&self.out.flagged, &self.out.reach);
+            self.out.shortcuts = Arc::new(
+                customize(ekg, flagged, reach, self.config.use_shortcuts, threads)
+                    .expect("rediscovered shortcuts stay valid"),
+            );
             if let Some(reg) = self.config.obs.registry() {
                 reg.counter(obs_names::SHORTCUT_RERUNS).inc();
             }
@@ -794,7 +820,7 @@ pub fn outputs_identical(a: &IngestOutput, b: &IngestOutput) -> bool {
         && a.flagged == b.flagged
         && a.mapper.bits_eq(&b.mapper)
         && a.reach == b.reach
-        && a.shortcuts_added == b.shortcuts_added
+        && a.shortcuts == b.shortcuts
 }
 
 #[cfg(test)]
@@ -843,29 +869,53 @@ mod tests {
         assert!(outputs_identical(e.output(), &full_twin(&e)));
     }
 
+    /// An `AddIsA` giving the last concept a parent it lacks and does not
+    /// subsume.
+    fn new_edge(e: &DeltaEngine) -> (ExtConceptId, ExtConceptId) {
+        let ekg = e.native_ekg();
+        let child = ekg.concepts().last().expect("non-empty world");
+        let parent = ekg
+            .concepts()
+            .find(|&p| p != child && !ekg.parents(child).contains(&p) && !ekg.is_ancestor(child, p))
+            .expect("some valid new parent");
+        (child, parent)
+    }
+
     #[test]
     fn edge_delta_matches_full_reingest() {
         let mut e = engine();
-        // Give the last concept an extra parent (root is always id 0's
-        // ancestor; pick a parent that isn't already one and isn't a
-        // descendant).
-        let ekg = e.native_ekg();
-        let child = ekg
-            .concepts()
-            .last()
-            .expect("non-empty world");
-        let parent = ekg
-            .concepts()
-            .find(|&p| {
-                p != child
-                    && !ekg.parents(child).iter().any(|edge| edge.to == p)
-                    && !ekg.is_ancestor(child, p)
-            })
-            .expect("some valid new parent");
+        let (child, parent) = new_edge(&e);
         e.apply(&Delta::new(vec![DeltaOp::AddIsA { child, parent }])).unwrap();
         assert!(outputs_identical(e.output(), &full_twin(&e)));
         e.apply(&Delta::new(vec![DeltaOp::RemoveIsA { child, parent }])).unwrap();
         assert!(outputs_identical(e.output(), &full_twin(&e)));
+    }
+
+    /// The engine holds one graph, its output's, however it was built and
+    /// whatever delta it applied. A published epoch keeps its graph through
+    /// an edge delta, and a document delta shares the previous overlay.
+    #[test]
+    fn engine_and_output_share_one_graph() {
+        let one = |e: &DeltaEngine| std::ptr::eq(e.native_ekg(), &*e.output().ekg);
+        let mut e = engine();
+        assert!(one(&e), "after new");
+        let (kb, corpus, config) = (e.kb().clone(), e.corpus().clone(), e.config().clone());
+        let ekg = e.native_ekg().clone();
+        let opened = DeltaEngine::from_opened(kb, corpus, ekg, None, config, e.output().clone());
+        assert!(one(&opened), "after from_opened");
+        let published = e.output().clone();
+        e.apply(&doc_delta()).unwrap();
+        assert!(one(&e), "after a document delta");
+        assert!(Arc::ptr_eq(&published.ekg, &e.output().ekg), "a document delta copied the graph");
+        assert!(
+            Arc::ptr_eq(&published.shortcuts, &e.output().shortcuts),
+            "a document delta rebuilt the shortcut overlay"
+        );
+        let (child, parent) = new_edge(&e);
+        e.apply(&Delta::new(vec![DeltaOp::AddIsA { child, parent }])).unwrap();
+        assert!(one(&e), "after an edge delta");
+        assert!(!published.ekg.parents(child).contains(&parent), "the published graph changed");
+        assert!(e.output().ekg.parents(child).contains(&parent));
     }
 
     #[test]

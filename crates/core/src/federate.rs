@@ -31,7 +31,7 @@
 //! `norm_score` ties by **raw score** first — floating-point division can
 //! collapse two distinct raw scores onto one normalized value, and without
 //! the raw-score key the hop comparison would then reorder them against
-//! [`rank_order`]. The 240-world differential sweep in `crates/fuzz` pins
+//! [`rank_order`](crate::rank_order). The 240-world differential sweep in `crates/fuzz` pins
 //! this end to end.
 
 use std::collections::HashSet;

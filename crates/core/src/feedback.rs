@@ -2,7 +2,7 @@
 //!
 //! §7.2 closes its feedback analysis with: "One straightforward solution to
 //! address these issues would be to incorporate the user's relevance
-//! feedback [39] in the query relaxation method, and to progressively
+//! feedback \[39\] in the query relaxation method, and to progressively
 //! improve the relaxed results." This module implements that proposal.
 //!
 //! Feedback is collected as accept/reject signals on `(query concept,
@@ -76,7 +76,7 @@ impl FeedbackStore {
         feedback: Feedback,
     ) {
         self.bump(query, candidate, tag, feedback, 2);
-        for parent in ekg.native_parents(candidate) {
+        for &parent in ekg.parents(candidate) {
             self.bump(query, parent, tag, feedback, 1);
         }
     }

@@ -359,7 +359,7 @@ impl RawFrequencies {
                             continue;
                         }
                         let mut f = self.dense[medkb_types::Id::as_usize(c)][tag];
-                        for child in ekg.native_children(c) {
+                        for &child in ekg.children(c) {
                             f += raw[child];
                         }
                         raw[c] = f;
@@ -394,7 +394,7 @@ fn rollup_recursive<F: Fn(ExtConceptId) -> f64>(ekg: &Ekg, direct: F) -> IdVec<E
     let mut freq: IdVec<ExtConceptId, f64> = IdVec::filled(0.0, ekg.len());
     for &c in ekg.topo_children_first() {
         let mut f = direct(c);
-        for child in ekg.native_children(c) {
+        for &child in ekg.children(c) {
             f += freq[child];
         }
         freq[c] = f;

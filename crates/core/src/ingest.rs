@@ -7,12 +7,11 @@
 //! [`ingest_reference`] preserves the original single-pass sequential
 //! implementation as the exactness oracle (DESIGN.md §9).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use medkb_corpus::MentionCounts;
-use medkb_ekg::{Ekg, ReachabilityIndex, UpwardScratch};
+use medkb_ekg::{Ekg, ReachabilityIndex, Shortcut, Shortcuts, UpwardScratch};
 use medkb_embed::SifModel;
 use medkb_kb::Kb;
 use medkb_ontology::context::generate_contexts;
@@ -217,8 +216,8 @@ impl FromIterator<ExtConceptId> for FlagTable {
 }
 
 /// The artifacts Algorithm 1 produces: contexts `C`, frequencies `F`,
-/// mappings `M`, flagged external concepts `FEC` — plus the customized
-/// graph and the indexes the online phase needs.
+/// mappings `M`, flagged external concepts `FEC` — plus the graph, its
+/// shortcut overlay and the indexes the online phase needs.
 ///
 /// The large parts sit behind `Arc`s, so a clone (one per published
 /// epoch) copies only the contexts, tags and flagged bitset and shares
@@ -227,7 +226,8 @@ impl FromIterator<ExtConceptId> for FlagTable {
 /// clone taken earlier keeps seeing its own world.
 #[derive(Debug, Clone)]
 pub struct IngestOutput {
-    /// The external knowledge source, with shortcut edges added.
+    /// The external knowledge source: the native terminology, which every
+    /// stage but the candidate scan reads.
     pub ekg: Arc<Ekg>,
     /// The set of possible contexts `C` (Algorithm 1 lines 1–4).
     pub contexts: Vec<ContextSpec>,
@@ -245,13 +245,13 @@ pub struct IngestOutput {
     /// The mapper, reused online for query terms (Algorithm 2 line 1 uses
     /// "the same mapping function as in Algorithm 1").
     pub mapper: Arc<ConceptMapper>,
-    /// Bitset transitive closure of the graph, built once here and reused
-    /// by every online LCS minimality check and shortcut validation
-    /// (shortcut edges never change the closure, so it stays valid for the
-    /// customized graph).
+    /// Transitive closure of the graph, built once here and reused by
+    /// every online LCS minimality check and shortcut validation.
     pub reach: Arc<ReachabilityIndex>,
-    /// Number of shortcut edges the customization added.
-    pub shortcuts_added: usize,
+    /// The §5.1 sparsity customization (lines 19–23): the shortcuts and the
+    /// candidate scan's table over the graph and them. Empty when
+    /// `use_shortcuts` is off.
+    pub shortcuts: Arc<Shortcuts>,
 }
 
 /// Metric names the ingestion pipeline records (DESIGN.md §10). Stage
@@ -266,7 +266,7 @@ pub mod obs_names {
     pub const STAGE_REACH_US: &str = "ingest.stage.reach_us";
     /// Frequency and IC table computation (lines 12–18).
     pub const STAGE_FREQS_US: &str = "ingest.stage.freqs_us";
-    /// Shortcut discovery and application (lines 19–23).
+    /// Shortcut discovery and the scan table (lines 19–23).
     pub const STAGE_SHORTCUTS_US: &str = "ingest.stage.shortcuts_us";
     /// End-to-end ingest wall time.
     pub const STAGE_TOTAL_US: &str = "ingest.stage.total_us";
@@ -278,7 +278,7 @@ pub mod obs_names {
     pub const CONCEPTS_FLAGGED: &str = "ingest.concepts.flagged";
     /// Contexts generated from the ontology (counter).
     pub const CONTEXTS_GENERATED: &str = "ingest.contexts.generated";
-    /// Shortcut edges the customization added (counter).
+    /// Shortcuts the customization found (counter).
     pub const SHORTCUTS_ADDED: &str = "ingest.shortcuts.added";
     /// Worker threads the run was configured with (gauge).
     pub const THREADS: &str = "ingest.threads";
@@ -317,7 +317,7 @@ pub struct IngestStats {
     pub reach_s: f64,
     /// Frequency and IC table computation (lines 12–18).
     pub freqs_s: f64,
-    /// Shortcut discovery and application (lines 19–23).
+    /// Shortcut discovery and the scan table (lines 19–23).
     pub shortcuts_s: f64,
     /// End-to-end wall time of the ingest call.
     pub total_s: f64,
@@ -325,9 +325,9 @@ pub struct IngestStats {
     pub threads: usize,
 }
 
-/// Run Algorithm 1: ingest the external knowledge source `ekg` (consumed
-/// and customized) against the knowledge base `kb` with corpus statistics
-/// `counts`.
+/// Run Algorithm 1: ingest the external knowledge source `ekg` (kept as
+/// the output's graph) against the knowledge base `kb` with corpus
+/// statistics `counts`.
 ///
 /// `sif` is required when `config.mapping` is the embedding flavour.
 /// Sharded stages honour `config.parallel.threads`; outputs are identical
@@ -346,7 +346,7 @@ pub fn ingest(
 /// --ingest`).
 pub fn ingest_with_stats(
     kb: &Kb,
-    mut ekg: Ekg,
+    ekg: Ekg,
     counts: &MentionCounts,
     sif: Option<Arc<SifModel>>,
     config: &RelaxConfig,
@@ -389,16 +389,12 @@ pub fn ingest_with_stats(
 
     // —— Reachability closure ——
     // Built before the frequency tables so the intrinsic-IC descendant
-    // counts can come from the closure instead of a BFS per concept;
-    // shortcuts never change the closure, so building on the native graph
-    // up front is equivalent to the reference order.
+    // counts can come from the closure instead of a BFS per concept.
     let t = Instant::now();
     let reach = ReachabilityIndex::build(&ekg);
     stats.reach_s = t.elapsed().as_secs_f64();
 
     // —— Concept frequencies (lines 12–18) ——
-    // Computed on the native graph; shortcut edges never contribute to the
-    // Eq. 2 rollup (they duplicate paths that are already counted).
     let t = Instant::now();
     let freqs = Frequencies::compute_with(
         &ekg,
@@ -412,8 +408,7 @@ pub fn ingest_with_stats(
 
     // —— Sparsity customization (lines 19–23, Figure 5) ——
     let t = Instant::now();
-    let shortcuts_added =
-        if config.add_shortcuts { customize(&mut ekg, &flagged, &reach, threads)? } else { 0 };
+    let shortcuts = customize(&ekg, &flagged, &reach, config.use_shortcuts, threads)?;
     stats.shortcuts_s = t.elapsed().as_secs_f64();
     stats.total_s = t_total.elapsed().as_secs_f64();
 
@@ -437,7 +432,7 @@ pub fn ingest_with_stats(
         reg.counter(obs_names::INSTANCES_MAPPED).add(mappings.len() as u64);
         reg.counter(obs_names::CONCEPTS_FLAGGED).add(flagged.len() as u64);
         reg.counter(obs_names::CONTEXTS_GENERATED).add(contexts.len() as u64);
-        reg.counter(obs_names::SHORTCUTS_ADDED).add(shortcuts_added as u64);
+        reg.counter(obs_names::SHORTCUTS_ADDED).add(shortcuts.len() as u64);
         reg.gauge(obs_names::THREADS).set(threads as u64);
     }
 
@@ -452,7 +447,7 @@ pub fn ingest_with_stats(
             flagged,
             mapper: Arc::new(mapper),
             reach: Arc::new(reach),
-            shortcuts_added,
+            shortcuts: Arc::new(shortcuts),
         },
         stats,
     ))
@@ -470,50 +465,41 @@ fn map_shard(
         .collect()
 }
 
-/// Add the §5.1 shortcuts to a native graph in two phases: read-only
-/// discovery (sharded, with one reusable Dijkstra scratch per worker),
-/// then one batch insertion in topo order, which rebuilds each edge column
-/// once. Returns the number added.
+/// The §5.1 shortcut overlay of a graph (none when `enabled` is off):
+/// read-only discovery, sharded with one reusable scratch per worker, then
+/// one validation and scan-table build over the whole list.
 pub(crate) fn customize(
-    ekg: &mut Ekg,
+    ekg: &Ekg,
     flagged: &FlagTable,
     reach: &ReachabilityIndex,
+    enabled: bool,
     threads: usize,
-) -> Result<usize> {
+) -> Result<Shortcuts> {
     let order = ekg.topo_children_first();
-    let batch = par::shard_chunks(order.len(), threads, |r| {
-        discover_shortcuts(ekg, flagged, &order[r])
-    })
-    .concat();
-    ekg.add_shortcuts(&batch, reach)?;
-    Ok(batch.len())
+    let list = if enabled {
+        par::shard_chunks(order.len(), threads, |r| discover_shortcuts(ekg, flagged, &order[r]))
+            .concat()
+    } else {
+        Vec::new()
+    };
+    Shortcuts::new(ekg, reach, list)
 }
 
 /// Discover the shortcut candidates of one contiguous run of source
 /// concepts, in the exact order the reference loop would add them.
 ///
-/// One epoch-stamped [`UpwardScratch`] is reused across the whole run
-/// (the satellite fix for the per-concept dense-table allocation the old
-/// loop paid). `reached()` yields ancestors in Dijkstra settle order —
-/// ascending distance, descending id on ties — which is fully determined
-/// by the final distances and therefore matches the dense reference
-/// traversal.
-fn discover_shortcuts(
-    ekg: &Ekg,
-    flagged: &FlagTable,
-    sources: &[ExtConceptId],
-) -> Vec<(ExtConceptId, ExtConceptId, u32)> {
+/// One epoch-stamped [`UpwardScratch`] is reused across the whole run.
+/// `reached()` yields ancestors by ascending distance, descending id on
+/// ties — fully determined by the distances, and therefore the dense
+/// reference traversal's order.
+fn discover_shortcuts(ekg: &Ekg, flagged: &FlagTable, sources: &[ExtConceptId]) -> Vec<Shortcut> {
     let mut scratch = UpwardScratch::new();
-    let mut parents: Vec<ExtConceptId> = Vec::new();
     let mut out = Vec::new();
     for &a in sources {
         let a_flagged = flagged.contains(&a);
-        parents.clear();
-        parents.extend(ekg.parents(a).iter().map(|e| e.to));
-        // Upward distances double as |shortestPath(A, B)|. Discovery runs
-        // before any shortcut is applied, so the graph is all-native
-        // (unit weights) and the level-BFS specialization applies.
-        ekg.upward_unit_distances_into(a, &mut scratch);
+        let parents = ekg.parents(a);
+        // Upward distances double as |shortestPath(A, B)|.
+        ekg.upward_distances_into(a, &mut scratch);
         for &b in scratch.reached() {
             let dist = scratch.distance(b).unwrap_or(u32::MAX);
             // Direct parents are rare (usually 1–2), so a linear scan of
@@ -537,7 +523,7 @@ fn discover_shortcuts(
 /// (the `relax_concept_reference` discipline).
 pub fn ingest_reference(
     kb: &Kb,
-    mut ekg: Ekg,
+    ekg: Ekg,
     counts: &MentionCounts,
     sif: Option<Arc<SifModel>>,
     config: &RelaxConfig,
@@ -567,21 +553,17 @@ pub fn ingest_reference(
     let mappings = MappingIndex::from_pairs(pairs);
 
     // —— Concept frequencies (lines 12–18) ——
-    // Computed on the native graph; shortcut edges never contribute to the
-    // Eq. 2 rollup (they duplicate paths that are already counted).
     let freqs = Frequencies::compute(&ekg, counts, config.frequency_mode, config.use_tfidf);
 
     // —— Sparsity customization (lines 19–23, Figure 5) ——
-    // The closure is computed once, before any shortcut exists; shortcuts
-    // never change reachability, so the same index validates every
-    // insertion and then serves the online phase. Candidates are gathered
-    // source by source in topo order and inserted as one batch.
+    // The closure validates every shortcut and then serves the online
+    // phase. Candidates are gathered source by source in topo order.
     let reach = ReachabilityIndex::build(&ekg);
     let mut batch = Vec::new();
-    if config.add_shortcuts {
+    if config.use_shortcuts {
         for &a in ekg.topo_children_first() {
             let a_flagged = flagged.contains(&a);
-            let parents: HashSet<ExtConceptId> = ekg.parents(a).iter().map(|e| e.to).collect();
+            let parents = ekg.parents(a);
             // Upward distances double as |shortestPath(A, B)|.
             for (b, dist) in ekg.upward_distances_from(a).iter() {
                 if parents.contains(&b)
@@ -594,8 +576,8 @@ pub fn ingest_reference(
                 batch.push((a, b, dist));
             }
         }
-        ekg.add_shortcuts(&batch, &reach)?;
     }
+    let shortcuts = Shortcuts::new(&ekg, &reach, batch)?;
 
     Ok(IngestOutput {
         ekg: Arc::new(ekg),
@@ -607,7 +589,7 @@ pub fn ingest_reference(
         flagged,
         mapper: Arc::new(mapper),
         reach: Arc::new(reach),
-        shortcuts_added: batch.len(),
+        shortcuts: Arc::new(shortcuts),
     })
 }
 
@@ -698,25 +680,31 @@ mod tests {
     }
 
     #[test]
-    fn shortcuts_added_and_counted() {
+    fn shortcuts_overlay_the_native_graph() {
         let (world, _, counts) = setup();
         let out =
             ingest(&world.kb, world.terminology.ekg.clone(), &counts, None, &exact_config())
                 .unwrap();
-        assert!(out.shortcuts_added > 0);
-        assert_eq!(out.ekg.shortcut_count(), out.shortcuts_added);
-        // Original graph untouched in the world copy.
-        assert_eq!(world.terminology.ekg.shortcut_count(), 0);
+        assert!(!out.shortcuts.is_empty());
+        // The output's graph is the input, edge for edge.
+        assert_eq!(*out.ekg, world.terminology.ekg);
     }
 
     #[test]
     fn shortcuts_can_be_disabled() {
         let (world, _, counts) = setup();
-        let config = RelaxConfig { add_shortcuts: false, ..exact_config() };
+        let config = RelaxConfig { use_shortcuts: false, ..exact_config() };
         let out =
             ingest(&world.kb, world.terminology.ekg.clone(), &counts, None, &config).unwrap();
-        assert_eq!(out.shortcuts_added, 0);
-        assert_eq!(out.ekg.shortcut_count(), 0);
+        assert!(out.shortcuts.is_empty());
+        assert_eq!(*out.ekg, world.terminology.ekg);
+    }
+
+    #[test]
+    fn embedding_without_model_fails_at_ingest() {
+        let (world, _, counts) = setup();
+        let config = RelaxConfig::default(); // embedding mapping, no SIF
+        assert!(ingest(&world.kb, world.terminology.ekg, &counts, None, &config).is_err());
     }
 
     #[test]
@@ -738,16 +726,15 @@ mod tests {
         let out = ingest(&kb, f.ekg.clone(), &counts, None, &exact_config()).unwrap();
         let deep = out.ekg.lookup_name("chronic kidney disease stage 1 due to hypertension")[0];
         let kd = out.ekg.lookup_name("kidney disease")[0];
-        let edge = out
-            .ekg
-            .parents(deep)
-            .iter()
-            .find(|e| e.to == kd)
-            .expect("figure 5 shortcut must exist");
-        assert!(edge.shortcut);
-        assert_eq!(edge.weight, 3, "original distance preserved on the edge");
-        // One-hop now.
-        assert!(out.ekg.neighborhood(deep, 1).iter().any(|&(c, _)| c == kd));
+        let shortcut = out.shortcuts.list().iter().find(|s| (s.0, s.1) == (deep, kd));
+        assert_eq!(
+            shortcut.map(|s| s.2),
+            Some(3),
+            "figure 5 shortcut must exist, with its original distance"
+        );
+        // One hop over the overlay, three over the graph.
+        assert!(out.ekg.neighborhood(deep, 1, out.shortcuts.list()).iter().any(|&(c, _)| c == kd));
+        assert_eq!(out.ekg.distance_to_ancestor(deep, kd), Some(3));
     }
 
     #[test]
@@ -767,7 +754,7 @@ mod tests {
         assert_eq!(snap.counter(obs_names::INSTANCES_MAPPED), out.mappings.len() as u64);
         assert_eq!(snap.counter(obs_names::CONCEPTS_FLAGGED), out.flagged.len() as u64);
         assert_eq!(snap.counter(obs_names::CONTEXTS_GENERATED), out.contexts.len() as u64);
-        assert_eq!(snap.counter(obs_names::SHORTCUTS_ADDED), out.shortcuts_added as u64);
+        assert_eq!(snap.counter(obs_names::SHORTCUTS_ADDED), out.shortcuts.len() as u64);
         assert!(
             snap.counter(obs_names::INSTANCES_SCANNED)
                 >= snap.counter(obs_names::INSTANCES_MAPPED)
@@ -778,7 +765,7 @@ mod tests {
                 .unwrap();
         assert_eq!(out.mappings, plain.mappings);
         assert_eq!(out.freqs, plain.freqs);
-        assert_eq!(out.shortcuts_added, plain.shortcuts_added);
+        assert_eq!(out.shortcuts, plain.shortcuts);
     }
 
     #[test]

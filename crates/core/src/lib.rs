@@ -1,12 +1,13 @@
 //! The paper's contribution: two-phase, context-aware query relaxation
 //! over a medical knowledge base backed by an external knowledge source.
 //!
-//! * **Offline** — [`ingest`] implements Algorithm 1: context generation
+//! * **Offline** — [`ingest`](fn@ingest) implements Algorithm 1: context generation
 //!   from the domain ontology, instance → external-concept mapping with a
 //!   pluggable matcher ([`mapping`]), per-context concept frequencies over
 //!   the curation corpus ([`frequency`], Eq. 1–2, tf-idf adjusted), and the
-//!   sparsity customization that adds shortcut edges between flagged
-//!   concepts and their ancestors (Figure 5).
+//!   sparsity customization that adds shortcuts between flagged concepts
+//!   and their ancestors (Figure 5), an overlay only the candidate scan
+//!   reads.
 //! * **Online** — [`relax`] implements Algorithm 2: resolve the query term
 //!   to an external concept, gather flagged concepts within radius `r`
 //!   (optionally growing the radius until `k` results exist), rank by the
@@ -35,7 +36,6 @@ pub mod config;
 pub mod frequency;
 pub mod ingest;
 pub mod mapping;
-pub mod pipeline;
 pub mod relax;
 pub mod similarity;
 pub mod weights;
@@ -53,6 +53,5 @@ pub use ingest::{
     InstanceIndex, MappingIndex,
 };
 pub use mapping::ConceptMapper;
-pub use pipeline::RelaxationPipeline;
 pub use relax::{rank_order, QueryRelaxer, RelaxationResult, RelaxedAnswer, ScoreExplain};
 pub use similarity::{QrScorer, QueryScorer, ScoreBounds};

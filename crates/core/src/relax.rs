@@ -3,7 +3,7 @@
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use medkb_ekg::{Adjacency, NeighborhoodScan};
+use medkb_ekg::NeighborhoodScan;
 use medkb_obs::{Counter, Histogram, Registry};
 use medkb_snomed::ContextTag;
 use medkb_types::{par, ContextId, ExtConceptId, Id, InstanceId, MedKbError, Result};
@@ -29,17 +29,17 @@ pub mod obs_names {
     /// Candidate-side LCS evaluations (counter).
     pub const LCS_EVALS: &str = "relax.lcs.evals";
     /// LCS evaluations that hit the amortized query-side upward-distance
-    /// table instead of re-running the query-side Dijkstra. The table is
+    /// table instead of re-running the query-side search. The table is
     /// built once per query *before* any candidate is scored, so every
     /// scoped evaluation — including the first — reuses it, and this
     /// counter always equals [`LCS_EVALS`] (pinned by
     /// `tests/obs_conformance.rs`); the reference twin, by contrast, pays
-    /// the query-side Dijkstra once per pair (counter).
+    /// the query-side search once per pair (counter).
     pub const LCS_QUERY_REUSE: &str = "relax.lcs.query_side_reuse";
     /// Candidates whose admissible Eq. 5 upper bound could not beat the
     /// provisional k-th answer, skipped without an LCS evaluation
-    /// (counter; zero when [`crate::config::RelaxConfig::pruning`] is off
-    /// or the config falls outside the bound derivation). Invariant:
+    /// (counter; zero when the call falls outside the bound derivation:
+    /// step weights above 1 or relevance feedback). Invariant:
     /// [`LCS_EVALS`] + this == [`CANDIDATES_KEPT`], pinned by
     /// `tests/obs_conformance.rs`.
     pub const BOUND_SKIPS: &str = "relax.lcs.bound_skips";
@@ -164,7 +164,8 @@ pub struct RelaxedAnswer {
     pub concept: ExtConceptId,
     /// Eq. 5 similarity to the query concept.
     pub score: f64,
-    /// Hop distance in the customized graph at which it was found.
+    /// Hop distance, over the graph and its shortcuts, at which it was
+    /// found.
     pub hops: u32,
     /// The KB instances mapped to the concept.
     pub instances: Vec<InstanceId>,
@@ -284,10 +285,6 @@ impl Ord for HeapEntry {
 #[derive(Debug, Clone)]
 pub struct QueryRelaxer {
     ingested: IngestOutput,
-    /// The customized graph's CSR adjacency, which candidate gathering
-    /// walks. Built once here; a relaxer's world never changes, so the
-    /// table cannot go stale.
-    adjacency: Adjacency,
     config: RelaxConfig,
     /// Pre-resolved handles when `config.obs.metrics` is set; `None` makes
     /// every record site one never-taken branch (no atomics, no timers).
@@ -295,11 +292,12 @@ pub struct QueryRelaxer {
 }
 
 impl QueryRelaxer {
-    /// Wrap an ingestion output with the runtime configuration.
+    /// Wrap an ingestion output with the runtime configuration. The
+    /// candidate scan walks the output's shortcut overlay, so this builds
+    /// nothing.
     pub fn new(ingested: IngestOutput, config: RelaxConfig) -> Self {
         let metrics = config.obs.registry().map(RelaxMetrics::resolve);
-        let adjacency = Adjacency::build(&ingested.ekg);
-        Self { ingested, adjacency, config, metrics }
+        Self { ingested, config, metrics }
     }
 
     /// The ingestion artifacts (read access for integrations).
@@ -416,10 +414,11 @@ impl QueryRelaxer {
         }
 
         // Scoring and ranking (line 3): the query-scoped scorer amortizes
-        // the query-side Dijkstra and IC over all candidates. With pruning
-        // active, the bounded scan evaluates only candidates whose upper
-        // bound can still reach the top-k; its output is the exhaustive
-        // ranking's minimal answer prefix, bit for bit (DESIGN.md §13).
+        // the query-side search and IC over all candidates. Where the bound
+        // derivation holds, the bounded scan evaluates only candidates
+        // whose upper bound can still reach the top-k; its output is the
+        // exhaustive ranking's minimal answer prefix, bit for bit
+        // (DESIGN.md §13).
         let scorer = QrScorer::new(&self.ingested.ekg, &self.ingested.freqs, &self.config);
         let mut scoped = scorer.query_scoped(query, tag, &self.ingested.reach);
         let scored: Vec<(ExtConceptId, u32, f64)> = if self.pruning_active(feedback) {
@@ -496,14 +495,15 @@ impl QueryRelaxer {
     }
 
     /// [`Self::candidates`] for a checked `query`, plus the number of
-    /// concepts scanned. The scan walks the CSR adjacency ring by ring and
+    /// concepts scanned. The scan walks the overlay's CSR adjacency ring by
+    /// ring and
     /// keeps its rings across radius increments, so growth pays only for
     /// each newly reached ring; the flag check runs inline as each concept
     /// is discovered.
     fn gather(&self, query: ExtConceptId, k: usize) -> (Vec<(ExtConceptId, u32)>, u32, usize) {
         let mut radius = self.config.radius.max(1);
         let flagged = &self.ingested.flagged;
-        let mut scan = NeighborhoodScan::new(&self.adjacency, query);
+        let mut scan = NeighborhoodScan::new(self.ingested.shortcuts.adjacency(), query);
         let mut candidates: Vec<(ExtConceptId, u32)> = Vec::new();
         let mut reachable_instances = 0usize;
         loop {
@@ -530,8 +530,7 @@ impl QueryRelaxer {
     /// feedback multiplies scores by `exp(λ·s)` which can exceed 1 — both
     /// fall back to the exhaustive scan so answers never drift.
     fn pruning_active(&self, feedback: Option<&crate::feedback::FeedbackStore>) -> bool {
-        self.config.pruning
-            && feedback.is_none()
+        feedback.is_none()
             && (!self.config.use_path_weight
                 || (self.config.w_gen <= 1.0 && self.config.w_spec <= 1.0))
     }
@@ -684,7 +683,7 @@ impl QueryRelaxer {
 
     /// The pre-optimization Algorithm 2: re-runs the neighborhood BFS at
     /// every radius increment, scores each candidate with a fresh per-pair
-    /// LCS (two `HashMap` Dijkstras + ancestor-walk pruning), and clones
+    /// LCS (two `HashMap` searches + ancestor-walk pruning), and clones
     /// every candidate's instance list before ranking.
     ///
     /// Kept as the reference the optimized path is regression-tested and
@@ -709,7 +708,7 @@ impl QueryRelaxer {
             candidates = self
                 .ingested
                 .ekg
-                .neighborhood(query, radius)
+                .neighborhood(query, radius, self.ingested.shortcuts.list())
                 .into_iter()
                 .filter(|(c, _)| self.ingested.flagged.contains(c))
                 .collect();
@@ -1412,13 +1411,9 @@ mod tests {
         assert!(snap.counter(obs_names::BOUND_SKIPS) > 0);
 
         // The abandoned tail must never change an answer: the exhaustive
-        // twin and the reference scan agree for every k, bit for bit.
-        let off_cfg = RelaxConfig { pruning: false, ..config };
-        let off = QueryRelaxer::new(out, off_cfg);
+        // reference scan agrees for every k, bit for bit.
         for k in [1, 2, 5, 100] {
             let a = r.relax_concept(q, None, k).unwrap();
-            let b = off.relax_concept(q, None, k).unwrap();
-            assert_eq!(a, b, "k={k}: pruned diverged from exhaustive");
             assert_eq!(r.relax_concept_reference(q, None, k).unwrap(), a, "k={k}");
         }
     }

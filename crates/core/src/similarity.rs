@@ -108,7 +108,7 @@ impl<'a> QrScorer<'a> {
     }
 
     /// Fix the query concept and context, amortizing the query-side upward
-    /// Dijkstra and IC lookup over every candidate scored against it.
+    /// search and IC lookup over every candidate scored against it.
     ///
     /// `reach` must be the closure of `ekg` (built at ingestion). Scores
     /// are identical to the corresponding [`QrScorer::score`] calls.
@@ -132,7 +132,7 @@ impl<'a> QrScorer<'a> {
 /// [`QrScorer`] specialized to one `(query, context)` pair — the engine
 /// behind candidate loops: the query-side upward distances and IC are
 /// computed once at construction, each [`QueryScorer::score`] then costs
-/// one candidate-side Dijkstra plus dense probes.
+/// one candidate-side upward search plus dense probes.
 #[derive(Debug, Clone)]
 pub struct QueryScorer<'a> {
     base: QrScorer<'a>,
@@ -140,7 +140,7 @@ pub struct QueryScorer<'a> {
     up_q: UpwardDistances,
     ic_query: f64,
     tag: Option<ContextTag>,
-    /// Candidate-side Dijkstra storage, reused across `score` calls.
+    /// Candidate-side search storage, reused across `score` calls.
     scratch: UpwardScratch,
 }
 
@@ -297,7 +297,7 @@ fn inflate(v: f64) -> f64 {
 
 /// Admissible per-candidate upper bounds on Eq. 5, computable from a
 /// candidate's BFS ring, native depth, and dense IC entry alone — no
-/// candidate-side Dijkstra, no LCS evaluation (DESIGN.md §13).
+/// candidate-side search, no LCS evaluation (DESIGN.md §13).
 ///
 /// Derivation sketch (proof in DESIGN.md §13): every LCS member lies in
 /// `{query} ∪ strict-ancestors(query)` (the query-scoped LCS probes the
@@ -360,7 +360,7 @@ impl ScoreBounds {
     /// Tier-2 bound for **non-descendant** candidates: the member pool is
     /// restricted to actual common subsumers of query and candidate — one
     /// reachability bit probe per strict query ancestor, still no
-    /// candidate-side Dijkstra and no LCS evaluation.
+    /// candidate-side search and no LCS evaluation.
     ///
     /// Admissible for the same reason the table bound is: every true LCS
     /// member of a non-descendant candidate is a strict query ancestor that
@@ -574,7 +574,7 @@ mod tests {
             let s = QrScorer::new(&ekg, &freqs, config);
             for tag in [Some(ContextTag::Treatment), Some(ContextTag::Risk), None] {
                 for q in ekg.concepts() {
-                    let neigh = ekg.neighborhood(q, 6);
+                    let neigh = ekg.neighborhood(q, 6, &[]);
                     let max_h = neigh.iter().map(|&(_, h)| h).max().unwrap_or(0);
                     let max_dc =
                         neigh.iter().map(|&(c, _)| ekg.depth(c)).max().unwrap_or(0);

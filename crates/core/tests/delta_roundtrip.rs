@@ -66,7 +66,7 @@ fn valid_op(e: &DeltaEngine, kind: u8, a: u64, b: u64) -> DeltaOp {
                 let parent = ExtConceptId::from_usize(((b + 3 * probe) % n as u64) as usize);
                 if child != ekg.root()
                     && child != parent
-                    && !ekg.parents(child).iter().any(|edge| edge.to == parent)
+                    && !ekg.parents(child).contains(&parent)
                     && !ekg.is_ancestor(child, parent)
                 {
                     return DeltaOp::AddIsA { child, parent };
@@ -76,13 +76,12 @@ fn valid_op(e: &DeltaEngine, kind: u8, a: u64, b: u64) -> DeltaOp {
         }
         5 => {
             let removable: Vec<ExtConceptId> =
-                ekg.concepts().filter(|&c| ekg.native_parent_count(c) >= 2).collect();
+                ekg.concepts().filter(|&c| ekg.parents(c).len() >= 2).collect();
             if removable.is_empty() {
                 return add_document(e, a, b);
             }
             let child = removable[(a % removable.len() as u64) as usize];
-            let parents: Vec<ExtConceptId> =
-                ekg.parents(child).iter().filter(|edge| !edge.shortcut).map(|edge| edge.to).collect();
+            let parents = ekg.parents(child);
             DeltaOp::RemoveIsA { child, parent: parents[(b % parents.len() as u64) as usize] }
         }
         6 => {

@@ -80,7 +80,7 @@ proptest! {
                 for c in ekg.concepts() {
                     let f = freqs.freq(c, tag);
                     prop_assert!((0.0..=1.0 + 1e-12).contains(&f), "{f}");
-                    for p in ekg.native_parents(c) {
+                    for &p in ekg.parents(c) {
                         prop_assert!(freqs.freq(p, tag) + 1e-12 >= f);
                     }
                 }
@@ -130,7 +130,7 @@ proptest! {
         for c in ekg.concepts() {
             let ic = freqs.intrinsic_ic(c);
             prop_assert!((0.0..=1.0).contains(&ic));
-            for p in ekg.native_parents(c) {
+            for &p in ekg.parents(c) {
                 prop_assert!(freqs.intrinsic_ic(p) <= ic + 1e-12,
                     "parent must be at most as informative");
             }

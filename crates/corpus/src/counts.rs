@@ -265,7 +265,7 @@ impl MentionCounts {
 
 /// A reusable mention-counting trie for incremental (delta) recounts.
 ///
-/// Wraps the scanning [`TokenTrie`] together with the two facts needed to
+/// Wraps the scanning `TokenTrie` together with the two facts needed to
 /// decide whether a cached trie is still *equivalent to a fresh build*
 /// after the corpus vocabulary grew:
 ///

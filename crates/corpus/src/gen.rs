@@ -377,21 +377,21 @@ impl LatentNeighbors {
                             cand.push(c);
                         }
                     };
-                    for p in ekg.native_parents(a) {
+                    for &p in ekg.parents(a) {
                         push(p);
-                        for s in ekg.native_children(p) {
+                        for &s in ekg.children(p) {
                             push(s);
                         }
-                        for gp in ekg.native_parents(p) {
+                        for &gp in ekg.parents(p) {
                             push(gp);
-                            for u in ekg.native_children(gp) {
+                            for &u in ekg.children(gp) {
                                 push(u);
                             }
                         }
                     }
-                    for c in ekg.native_children(a) {
+                    for &c in ekg.children(a) {
                         push(c);
-                        for gc in ekg.native_children(c) {
+                        for &gc in ekg.children(c) {
                             push(gc);
                         }
                     }

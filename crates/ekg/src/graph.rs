@@ -1,13 +1,15 @@
 //! The external knowledge source graph: storage, construction, validation,
 //! and traversal.
 //!
-//! A built [`Ekg`] is flat: a handful of arrays laid out like the store's
-//! `ekg` section (DESIGN.md §14.2). Names and synonyms live in UTF-8
-//! arenas with `u32` offsets, the normalized lookup is a sorted key arena
-//! with an id CSR, and the up and down edge lists are CSR columns. Cloning
-//! or dropping a graph is a few bulk copies or frees whatever its size.
+//! A built [`Ekg`] is the native terminology, flat: a handful of arrays
+//! laid out like the store's `ekg` section (DESIGN.md §14.2). Names and
+//! synonyms live in UTF-8 arenas with `u32` offsets, the normalized lookup
+//! is a sorted key arena with an id CSR, and the up and down edge lists
+//! are CSR columns. Cloning or dropping a graph is a few bulk copies or
+//! frees whatever its size. The §5.1 shortcuts are not edges of it: they
+//! are an overlay ([`crate::Shortcuts`]) that only the candidate scan reads.
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::BuildHasher;
 use std::ops::Range;
@@ -15,173 +17,98 @@ use std::ops::Range;
 use medkb_text::normalize;
 use medkb_types::{ExtConceptId, Id, IdVec, MedKbError, Result, StringColumn, StringInterner};
 
-/// A subsumption edge, stored in both directions.
-///
-/// `weight` is the *original* hop distance the edge represents: native
-/// subsumption edges have weight 1; application-specific shortcut edges
-/// added during ingestion (§5.1, Figure 5) carry the length of the original
-/// path so the semantic distance between their endpoints is preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    /// The other endpoint.
-    pub to: ExtConceptId,
-    /// Original hop distance represented by this edge (≥ 1).
-    pub weight: u32,
-    /// Whether this is an ingestion-added shortcut rather than a native
-    /// subsumption edge.
-    pub shortcut: bool,
-}
+use crate::overlay::Shortcut;
 
-/// One direction's edge lists as CSR columns: concept `c`'s edges are the
-/// positions `offsets[c]..offsets[c + 1]` of `targets`, `weights` and the
-/// `shortcut` bitset, in list order.
+/// One direction's subsumption edge lists as CSR columns: concept `c`'s
+/// edges are the positions `offsets[c]..offsets[c + 1]` of `targets`, in
+/// list order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeColumns {
     /// `n + 1` ascending positions, starting at 0.
     pub offsets: Vec<u32>,
     /// The other endpoint of each edge.
     pub targets: Vec<ExtConceptId>,
-    /// Original hop distance of each edge.
-    pub weights: Vec<u32>,
-    /// Bit `i % 64` of word `i / 64` is set when edge `i` is a shortcut;
-    /// exactly `targets.len().div_ceil(64)` words.
-    pub shortcut: Vec<u64>,
 }
 
 impl EdgeColumns {
-    fn empty(n: usize) -> Self {
-        let offsets = vec![0; n + 1];
-        Self { offsets, targets: Vec::new(), weights: Vec::new(), shortcut: Vec::new() }
+    /// `(source, target)` pairs as `n` lists, each in pair order (a stable
+    /// counting sort by source).
+    pub(crate) fn grouped(
+        n: usize,
+        pairs: impl Iterator<Item = (ExtConceptId, ExtConceptId)> + Clone,
+    ) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for (s, _) in pairs.clone() {
+            offsets[s.as_usize() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut targets = vec![ExtConceptId::new(0); offsets[n] as usize];
+        for (s, t) in pairs {
+            let at = &mut fill[s.as_usize()];
+            targets[*at as usize] = t;
+            *at += 1;
+        }
+        Self { offsets, targets }
     }
 
     fn range(&self, c: ExtConceptId) -> Range<usize> {
         self.offsets[c.as_usize()] as usize..self.offsets[c.as_usize() + 1] as usize
     }
 
-    fn targets_of(&self, c: ExtConceptId) -> &[ExtConceptId] {
+    /// Concept `c`'s list.
+    pub fn row(&self, c: ExtConceptId) -> &[ExtConceptId] {
         &self.targets[self.range(c)]
     }
 
-    fn row(&self, c: ExtConceptId) -> EdgeList<'_> {
-        let r = self.range(c);
-        EdgeList {
-            targets: &self.targets[r.clone()],
-            weights: &self.weights[r.clone()],
-            shortcut: &self.shortcut,
-            start: r.start,
-        }
-    }
-
-    fn push(&mut self, e: Edge) {
-        let at = self.targets.len();
-        if at.is_multiple_of(64) {
-            self.shortcut.push(0);
-        }
-        self.shortcut[at / 64] |= u64::from(e.shortcut) << (at % 64);
-        self.targets.push(e.to);
-        self.weights.push(e.weight);
-    }
-
-    /// Dijkstra over these edges (weights are original hop distances) from
-    /// `source` into `scratch`, settling ties by descending id.
-    fn dijkstra_into(&self, source: ExtConceptId, scratch: &mut UpwardScratch) {
-        use std::cmp::Reverse;
-        scratch.begin(source, self.offsets.len() - 1);
-        scratch.set(source, 0);
-        scratch.heap.push((Reverse(0), source));
-        while let Some((Reverse(d), c)) = scratch.heap.pop() {
-            if scratch.distance(c) != Some(d) {
-                continue;
-            }
-            if c != source {
-                scratch.reached.push(c);
-            }
-            for (to, weight) in self.row(c).weighted() {
-                let nd = d + weight;
-                if scratch.distance(to).is_none_or(|old| nd < old) {
-                    scratch.set(to, nd);
-                    scratch.heap.push((Reverse(nd), to));
+    /// Level BFS along these edges from `source`. `settle(c, d)` records
+    /// `c` at hop distance `d` unless it has one already, and answers
+    /// whether it was new; each new concept is appended to `reached`. A
+    /// level is sorted by descending id before it is expanded, so `reached`
+    /// runs by ascending distance, then descending id: the settle order of
+    /// a Dijkstra with ties to the larger id, fully determined by the
+    /// distances.
+    fn level_bfs(
+        &self,
+        source: ExtConceptId,
+        reached: &mut Vec<ExtConceptId>,
+        mut settle: impl FnMut(ExtConceptId, u32) -> bool,
+    ) {
+        let mut expand = |c: ExtConceptId, d: u32, reached: &mut Vec<ExtConceptId>| {
+            for &to in self.row(c) {
+                if settle(to, d) {
+                    reached.push(to);
                 }
             }
+        };
+        let start = reached.len();
+        expand(source, 1, reached);
+        let (mut lo, mut d) = (start, 1);
+        while lo < reached.len() {
+            let hi = reached.len();
+            reached[lo..hi].sort_unstable_by(|a, b| b.cmp(a));
+            for at in lo..hi {
+                expand(reached[at], d + 1, reached);
+            }
+            (lo, d) = (hi, d + 1);
         }
     }
 
     /// These lists rebuilt one by one, each passed through `edit` (given
     /// its concept index) on the way: O(edges) whatever the edit.
-    fn rebuilt(&self, mut edit: impl FnMut(usize, &mut Vec<Edge>)) -> Self {
-        let mut out = Self::empty(0);
+    fn rebuilt(&self, mut edit: impl FnMut(usize, &mut Vec<ExtConceptId>)) -> Self {
+        let mut out = Self { offsets: vec![0], targets: Vec::with_capacity(self.targets.len()) };
         let mut row = Vec::new();
         for c in 0..self.offsets.len() - 1 {
             row.clear();
-            row.extend(self.row(ExtConceptId::from_usize(c)).iter());
+            row.extend_from_slice(self.row(ExtConceptId::from_usize(c)));
             edit(c, &mut row);
-            for &e in &row {
-                out.push(e);
-            }
+            out.targets.extend_from_slice(&row);
             out.offsets.push(u32::try_from(out.targets.len()).expect("edges exceed u32 offsets"));
         }
         out
-    }
-
-    /// These lists with every `(source, edge)` of `extra` appended to its
-    /// source's list, in `extra` order.
-    fn appended(&self, extra: &[(ExtConceptId, Edge)]) -> Self {
-        let mut by_source = extra.to_vec();
-        by_source.sort_by_key(|&(s, _)| s); // stable: batch order holds per list
-        let mut next = by_source.iter().peekable();
-        self.rebuilt(|c, row| {
-            while let Some(&(_, e)) = next.next_if(|(s, _)| s.as_usize() == c) {
-                row.push(e);
-            }
-        })
-    }
-}
-
-/// A native subsumption edge to `to`.
-fn native(to: ExtConceptId) -> Edge {
-    Edge { to, weight: 1, shortcut: false }
-}
-
-/// One concept's edge list, borrowed from the graph's columns. It yields
-/// [`Edge`]s by value; [`EdgeList::targets`] is the id column alone.
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeList<'a> {
-    targets: &'a [ExtConceptId],
-    weights: &'a [u32],
-    /// The whole column's bitset; `start` is this list's first position.
-    shortcut: &'a [u64],
-    start: usize,
-}
-
-impl<'a> EdgeList<'a> {
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
-    }
-
-    /// The other endpoints, in list order.
-    pub fn targets(&self) -> &'a [ExtConceptId] {
-        self.targets
-    }
-
-    /// `(other endpoint, weight)` pairs, in list order.
-    pub fn weighted(&self) -> impl Iterator<Item = (ExtConceptId, u32)> + 'a {
-        self.targets.iter().copied().zip(self.weights.iter().copied())
-    }
-
-    /// The edges, in list order.
-    pub fn iter(&self) -> impl Iterator<Item = Edge> + 'a {
-        let (shortcut, start) = (self.shortcut, self.start);
-        self.weighted().enumerate().map(move |(i, (to, weight))| Edge {
-            to,
-            weight,
-            shortcut: shortcut[(start + i) / 64] >> ((start + i) % 64) & 1 == 1,
-        })
     }
 }
 
@@ -248,8 +175,6 @@ impl EkgBuilder {
     ///   of the root, or a duplicate edge was recorded.
     pub fn build(self) -> Result<Ekg> {
         let n = self.names.len();
-        let mut up_edges = Vec::with_capacity(self.edges.len());
-        let mut down_edges = Vec::with_capacity(self.edges.len());
         let mut seen: HashSet<(ExtConceptId, ExtConceptId)> = HashSet::new();
         for &(child, parent) in &self.edges {
             if child == parent {
@@ -265,15 +190,13 @@ impl EkgBuilder {
                     self.names.resolve(parent)
                 )));
             }
-            up_edges.push((child, native(parent)));
-            down_edges.push((parent, native(child)));
         }
-        let up = EdgeColumns::empty(n).appended(&up_edges);
-        let down = EdgeColumns::empty(n).appended(&down_edges);
+        let up = EdgeColumns::grouped(n, self.edges.iter().copied());
+        let down = EdgeColumns::grouped(n, self.edges.iter().map(|&(c, p)| (p, c)));
 
         // Root: exactly one concept without parents.
         let roots: Vec<ExtConceptId> =
-            (0..n).map(ExtConceptId::from_usize).filter(|&c| up.range(c).is_empty()).collect();
+            (0..n).map(ExtConceptId::from_usize).filter(|&c| up.row(c).is_empty()).collect();
         if roots.len() != 1 {
             return Err(MedKbError::InvalidRoot { roots: roots.len() });
         }
@@ -317,7 +240,7 @@ pub struct EkgParts {
     pub lookup_offsets: Vec<u32>,
     /// Each key's concepts: primary-name carriers, then synonym-only ones.
     pub lookup_ids: Vec<ExtConceptId>,
-    /// Upward edge lists (native + shortcut) in concept-id order.
+    /// Upward (child → parent) edge lists in concept-id order.
     pub up: EdgeColumns,
     /// Downward edge lists, mirroring `up`.
     pub down: EdgeColumns,
@@ -325,7 +248,7 @@ pub struct EkgParts {
     pub root: ExtConceptId,
     /// Children-first topological order.
     pub topo: Vec<ExtConceptId>,
-    /// Native hop depth below the root, in concept-id order.
+    /// Hop depth below the root, in concept-id order.
     pub depth: Vec<u32>,
 }
 
@@ -346,7 +269,7 @@ impl EkgParts {
         let mut topo = Vec::with_capacity(n);
         while let Some(c) = queue.pop_front() {
             topo.push(c);
-            for &p in self.up.targets_of(c) {
+            for &p in self.up.row(c) {
                 indegree[p.as_usize()] -= 1;
                 if indegree[p.as_usize()] == 0 {
                     queue.push_back(p);
@@ -364,7 +287,7 @@ impl EkgParts {
         let mut bfs = VecDeque::from([self.root]);
         let mut reached = 1usize;
         while let Some(c) = bfs.pop_front() {
-            for &d in self.down.targets_of(c) {
+            for &d in self.down.row(c) {
                 if depth[d.as_usize()] == u32::MAX {
                     depth[d.as_usize()] = depth[c.as_usize()] + 1;
                     reached += 1;
@@ -429,11 +352,9 @@ impl EkgParts {
 
 /// The frozen external knowledge source graph.
 ///
-/// Construct through [`EkgBuilder`] (or [`Ekg::from_parts`]). Ingestion
-/// adds the §5.1 shortcut edges in one batch ([`Ekg::add_shortcuts`]:
-/// adding descendant → ancestor edges never breaks acyclicity or the
-/// topological order); delta ingestion edits the native graph through the
-/// mutation API below.
+/// Construct through [`EkgBuilder`] (or [`Ekg::from_parts`]). Every edge
+/// is a native subsumption edge; delta ingestion edits the graph through
+/// the mutation API below.
 #[derive(Debug, Clone)]
 pub struct Ekg {
     parts: EkgParts,
@@ -531,32 +452,19 @@ impl Ekg {
         }
     }
 
-    /// Hop depth of `concept` below the root (root = 0), over native edges.
+    /// Hop depth of `concept` below the root (root = 0).
     pub fn depth(&self, concept: ExtConceptId) -> u32 {
         self.parts.depth[concept.as_usize()]
     }
 
-    /// Outgoing subsumption edges (towards parents / more general).
-    pub fn parents(&self, concept: ExtConceptId) -> EdgeList<'_> {
+    /// Direct parents (more general concepts), in edge-list order.
+    pub fn parents(&self, concept: ExtConceptId) -> &[ExtConceptId] {
         self.parts.up.row(concept)
     }
 
-    /// Incoming subsumption edges (towards children / more specific).
-    pub fn children(&self, concept: ExtConceptId) -> EdgeList<'_> {
+    /// Direct children (more specific concepts), in edge-list order.
+    pub fn children(&self, concept: ExtConceptId) -> &[ExtConceptId] {
         self.parts.down.row(concept)
-    }
-
-    /// Direct (native, non-shortcut) parents.
-    pub fn native_parents(&self, concept: ExtConceptId) -> impl Iterator<Item = ExtConceptId> + '_ {
-        self.parents(concept).iter().filter(|e| !e.shortcut).map(|e| e.to)
-    }
-
-    /// Direct (native, non-shortcut) children.
-    pub fn native_children(
-        &self,
-        concept: ExtConceptId,
-    ) -> impl Iterator<Item = ExtConceptId> + '_ {
-        self.children(concept).iter().filter(|e| !e.shortcut).map(|e| e.to)
     }
 
     /// Topological order with children before parents (root last).
@@ -569,8 +477,7 @@ impl Ekg {
         (0..self.len()).map(ExtConceptId::from_usize)
     }
 
-    /// All strict ancestors of `concept` (excluding itself), via native and
-    /// shortcut edges.
+    /// All strict ancestors of `concept` (excluding itself).
     pub fn ancestors(&self, concept: ExtConceptId) -> HashSet<ExtConceptId> {
         Self::closure(&self.parts.up, concept)
     }
@@ -582,10 +489,10 @@ impl Ekg {
 
     fn closure(edges: &EdgeColumns, concept: ExtConceptId) -> HashSet<ExtConceptId> {
         let mut out = HashSet::new();
-        let mut stack: Vec<ExtConceptId> = edges.targets_of(concept).to_vec();
+        let mut stack: Vec<ExtConceptId> = edges.row(concept).to_vec();
         while let Some(c) = stack.pop() {
             if out.insert(c) {
-                stack.extend_from_slice(edges.targets_of(c));
+                stack.extend_from_slice(edges.row(c));
             }
         }
         out
@@ -600,37 +507,30 @@ impl Ekg {
             return true;
         }
         let mut visited = HashSet::new();
-        let mut stack: Vec<ExtConceptId> = self.parts.up.targets_of(desc).to_vec();
+        let mut stack: Vec<ExtConceptId> = self.parents(desc).to_vec();
         while let Some(c) = stack.pop() {
             if c == anc {
                 return true;
             }
             if visited.insert(c) {
-                stack.extend_from_slice(self.parts.up.targets_of(c));
+                stack.extend_from_slice(self.parents(c));
             }
         }
         false
     }
 
-    /// Weighted shortest upward distances from `concept` to every ancestor
-    /// (weights are original hop distances, so shortcut edges do not change
-    /// the result relative to the native graph).
+    /// Shortest upward hop distances from `concept` to every ancestor: a
+    /// FIFO BFS into a `HashMap`, the reference the dense and scratch forms
+    /// below are pinned against.
     pub fn upward_distances(&self, concept: ExtConceptId) -> HashMap<ExtConceptId, u32> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist: HashMap<ExtConceptId, u32> = HashMap::new();
-        let mut heap: BinaryHeap<(Reverse<u32>, ExtConceptId)> = BinaryHeap::new();
-        dist.insert(concept, 0);
-        heap.push((Reverse(0), concept));
-        while let Some((Reverse(d), c)) = heap.pop() {
-            if dist.get(&c).copied() != Some(d) {
-                continue;
-            }
-            for (to, weight) in self.parents(c).weighted() {
-                let nd = d + weight;
-                if dist.get(&to).is_none_or(|&old| nd < old) {
-                    dist.insert(to, nd);
-                    heap.push((Reverse(nd), to));
+        let mut dist: HashMap<ExtConceptId, u32> = HashMap::from([(concept, 0)]);
+        let mut queue = VecDeque::from([concept]);
+        while let Some(c) = queue.pop_front() {
+            let d = dist[&c] + 1;
+            for &p in self.parents(c) {
+                if let Entry::Vacant(slot) = dist.entry(p) {
+                    slot.insert(d);
+                    queue.push_back(p);
                 }
             }
         }
@@ -643,92 +543,43 @@ impl Ekg {
     /// a fresh `HashMap` per call. The source itself is present at
     /// distance 0 (the convention LCS computation wants).
     pub fn upward_distances_from(&self, concept: ExtConceptId) -> UpwardDistances {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let mut dist: IdVec<ExtConceptId, u32> = IdVec::filled(u32::MAX, self.len());
         let mut reached: Vec<ExtConceptId> = Vec::new();
-        let mut heap: BinaryHeap<(Reverse<u32>, ExtConceptId)> = BinaryHeap::new();
         dist[concept] = 0;
-        heap.push((Reverse(0), concept));
-        while let Some((Reverse(d), c)) = heap.pop() {
-            if dist[c] != d {
-                continue;
+        self.parts.up.level_bfs(concept, &mut reached, |c, d| {
+            let fresh = dist[c] == u32::MAX;
+            if fresh {
+                dist[c] = d;
             }
-            if c != concept {
-                reached.push(c);
-            }
-            for (to, weight) in self.parents(c).weighted() {
-                let nd = d + weight;
-                if nd < dist[to] {
-                    dist[to] = nd;
-                    heap.push((Reverse(nd), to));
-                }
-            }
-        }
+            fresh
+        });
         UpwardDistances { source: concept, dist, reached }
     }
 
     /// [`Ekg::upward_distances_from`] into caller-owned scratch storage.
     ///
-    /// The hot loop of the query-scoped scoring engine runs one Dijkstra
-    /// per candidate; with a [`UpwardScratch`] reused across candidates the
-    /// per-run cost is proportional to the ancestors actually reached —
-    /// no `O(V)` table allocation or clearing (stale entries are
-    /// invalidated by epoch stamping). Distances computed are identical to
-    /// [`Ekg::upward_distances`].
+    /// The hot loop of the query-scoped scoring engine runs one upward
+    /// search per candidate; with a [`UpwardScratch`] reused across
+    /// candidates the per-run cost is proportional to the ancestors
+    /// actually reached — no `O(V)` table allocation or clearing (stale
+    /// entries are invalidated by epoch stamping). A level BFS: it settles
+    /// whole distance levels at once, each in descending id order.
     pub fn upward_distances_into(&self, concept: ExtConceptId, scratch: &mut UpwardScratch) {
-        self.parts.up.dijkstra_into(concept, scratch);
+        scratch.search(&self.parts.up, concept);
     }
 
-    /// [`Ekg::upward_distances_into`] specialized for a graph whose upward
-    /// edges all carry weight 1 (the native graph before customization
-    /// adds shortcuts): a frontier BFS that settles whole distance levels
-    /// at once instead of paying heap traffic per node.
-    ///
-    /// Settle order is identical to the Dijkstra form — ascending
-    /// distance, descending id within a distance — because that order is
-    /// fully determined by the final distances; each level is sorted
-    /// descending before being appended to `reached`.
-    ///
-    /// # Panics
-    /// Debug-asserts that every upward edge it crosses has weight 1.
-    pub fn upward_unit_distances_into(&self, concept: ExtConceptId, scratch: &mut UpwardScratch) {
-        scratch.begin(concept, self.len());
-        scratch.set(concept, 0);
-        let mut frontier: Vec<ExtConceptId> = vec![concept];
-        let mut next: Vec<ExtConceptId> = Vec::new();
-        let mut d = 0u32;
-        while !frontier.is_empty() {
-            let nd = d + 1;
-            for &c in &frontier {
-                for (to, weight) in self.parents(c).weighted() {
-                    debug_assert_eq!(weight, 1, "unit-distance BFS on a weighted graph");
-                    if scratch.distance(to).is_none() {
-                        scratch.set(to, nd);
-                        next.push(to);
-                    }
-                }
-            }
-            next.sort_unstable_by(|a, b| b.cmp(a));
-            scratch.reached.extend(next.iter().copied());
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-            d = nd;
-        }
-    }
-
-    /// Weighted shortest *downward* distances from `concept` to every
-    /// descendant, into caller-owned scratch. Since the down-graph mirrors
-    /// the up-graph edge for edge (same weights), `scratch.distance(d)`
-    /// afterwards equals the upward distance `d → concept` — one run
-    /// answers "how far below `concept`" for every descendant, which is
-    /// what path reconstruction probes repeatedly.
+    /// Shortest *downward* hop distances from `concept` to every
+    /// descendant, into caller-owned scratch. The down lists mirror the up
+    /// lists edge for edge, so `scratch.distance(d)` afterwards equals the
+    /// upward distance `d → concept` — one run answers "how far below
+    /// `concept`" for every descendant, which is what path reconstruction
+    /// probes repeatedly.
     pub fn downward_distances_into(&self, concept: ExtConceptId, scratch: &mut UpwardScratch) {
-        self.parts.down.dijkstra_into(concept, scratch);
+        scratch.search(&self.parts.down, concept);
     }
 
-    /// Weighted shortest upward distance from `desc` to `anc`, if `anc`
-    /// subsumes `desc`.
+    /// Shortest upward hop distance from `desc` to `anc`, if `anc` subsumes
+    /// `desc`.
     pub fn distance_to_ancestor(&self, desc: ExtConceptId, anc: ExtConceptId) -> Option<u32> {
         if desc == anc {
             return Some(0);
@@ -736,16 +587,29 @@ impl Ekg {
         self.upward_distances(desc).get(&anc).copied()
     }
 
-    /// Concepts within `radius` hops of `concept` over the *customized*
-    /// graph: every edge — native or shortcut — counts as one hop, which is
-    /// exactly why ingestion adds shortcuts (§5.1). Returns `(concept, hops)`
-    /// pairs excluding the start, in BFS order (parents before children,
-    /// each in edge-list order).
+    /// Concepts within `radius` hops of `concept` over the native edges and
+    /// the §5.1 `shortcuts`, each of which counts as one hop — exactly why
+    /// ingestion adds them. Returns `(concept, hops)` pairs excluding the
+    /// start, in BFS order: each concept's parents, its shortcut ancestors,
+    /// its children and its shortcut descendants, the shortcuts in list
+    /// order.
     ///
-    /// A one-shot FIFO BFS over the edge lists. The relaxer's hot path uses
-    /// [`NeighborhoodScan`] over an [`Adjacency`] instead; this is the
-    /// oracle that scan is pinned against.
-    pub fn neighborhood(&self, concept: ExtConceptId, radius: u32) -> Vec<(ExtConceptId, u32)> {
+    /// A one-shot FIFO BFS that groups the list itself. The relaxer's hot
+    /// path uses [`crate::NeighborhoodScan`] over the overlay's
+    /// [`crate::Adjacency`] instead; this is the oracle that scan is pinned
+    /// against.
+    pub fn neighborhood(
+        &self,
+        concept: ExtConceptId,
+        radius: u32,
+        shortcuts: &[Shortcut],
+    ) -> Vec<(ExtConceptId, u32)> {
+        let mut up: HashMap<ExtConceptId, Vec<ExtConceptId>> = HashMap::new();
+        let mut down: HashMap<ExtConceptId, Vec<ExtConceptId>> = HashMap::new();
+        for &(desc, anc, _) in shortcuts {
+            up.entry(desc).or_default().push(anc);
+            down.entry(anc).or_default().push(desc);
+        }
         let mut seen = vec![false; self.len()];
         seen[concept.as_usize()] = true;
         let mut frontier = VecDeque::from([(concept, 0u32)]);
@@ -754,7 +618,10 @@ impl Ekg {
             if h >= radius {
                 break;
             }
-            for &to in self.parts.up.targets_of(c).iter().chain(self.parts.down.targets_of(c)) {
+            let ups = up.get(&c).map_or(&[][..], Vec::as_slice);
+            let downs = down.get(&c).map_or(&[][..], Vec::as_slice);
+            let rows = [self.parents(c), ups, self.children(c), downs];
+            for &to in rows.into_iter().flatten() {
                 let seen = &mut seen[to.as_usize()];
                 if !*seen {
                     *seen = true;
@@ -766,95 +633,9 @@ impl Ekg {
         discovered
     }
 
-    /// Add an application-specific shortcut edge `desc → anc` carrying the
-    /// original distance between the two (§5.1, Figure 5).
-    ///
-    /// # Errors
-    /// As [`Ekg::add_shortcuts`].
-    pub fn add_shortcut(
-        &mut self,
-        desc: ExtConceptId,
-        anc: ExtConceptId,
-        original_distance: u32,
-    ) -> Result<()> {
-        let ok = self.is_ancestor(anc, desc);
-        self.add_shortcuts_validated(&[(desc, anc, original_distance)], |_, _| ok)
-    }
-
-    /// Add a batch of `(desc, anc, original distance)` shortcut edges, with
-    /// each ancestry check answered by a prebuilt
-    /// [`crate::reach::ReachabilityIndex`] — a single bit probe instead of
-    /// a per-edge upward BFS. The index must have been built over this
-    /// graph; shortcut edges never change the closure, so it stays valid.
-    ///
-    /// Each edge lands at the end of its endpoints' lists in batch order,
-    /// exactly where one-at-a-time insertion would put it, but both edge
-    /// columns are rebuilt once for the whole batch.
-    ///
-    /// # Errors
-    /// [`MedKbError::InvalidArgument`] if some `anc` is not a strict
-    /// ancestor of its `desc` (which would break acyclicity), an edge
-    /// already exists or repeats within the batch, or a distance is below
-    /// 2. The graph is unchanged on error.
-    pub fn add_shortcuts(
-        &mut self,
-        batch: &[(ExtConceptId, ExtConceptId, u32)],
-        reach: &crate::reach::ReachabilityIndex,
-    ) -> Result<()> {
-        self.add_shortcuts_validated(batch, |anc, desc| reach.is_ancestor(anc, desc))
-    }
-
-    fn add_shortcuts_validated(
-        &mut self,
-        batch: &[(ExtConceptId, ExtConceptId, u32)],
-        is_ancestor: impl Fn(ExtConceptId, ExtConceptId) -> bool,
-    ) -> Result<()> {
-        let exists = |desc: ExtConceptId, anc: ExtConceptId| {
-            MedKbError::invalid(format!(
-                "edge {:?} -> {:?} already exists",
-                self.name(desc),
-                self.name(anc)
-            ))
-        };
-        for &(desc, anc, original_distance) in batch {
-            if !is_ancestor(anc, desc) {
-                return Err(MedKbError::invalid(format!(
-                    "shortcut target {:?} is not an ancestor of {:?}",
-                    self.name(anc),
-                    self.name(desc)
-                )));
-            }
-            if original_distance < 2 {
-                return Err(MedKbError::invalid(
-                    "shortcut must span a path of at least 2 hops".to_string(),
-                ));
-            }
-        }
-        let edge = |to, weight| Edge { to, weight, shortcut: true };
-        let up: Vec<_> = batch.iter().map(|&(d, a, w)| (d, edge(a, w))).collect();
-        let up = self.parts.up.appended(&up);
-        // Each appended edge must be new to the list it joined: neither an
-        // edge the list already had nor an earlier edge of the batch.
-        for desc in self.concepts() {
-            let (old, row) = (self.parts.up.range(desc).len(), up.targets_of(desc));
-            if let Some(j) = (old..row.len()).find(|&j| row[..j].contains(&row[j])) {
-                return Err(exists(desc, row[j]));
-            }
-        }
-        let down: Vec<_> = batch.iter().map(|&(d, a, w)| (a, edge(d, w))).collect();
-        self.parts.down = self.parts.down.appended(&down);
-        self.parts.up = up;
-        Ok(())
-    }
-
-    /// Number of edges (native + shortcut), counted once per edge.
+    /// Number of subsumption edges, counted once per edge.
     pub fn edge_count(&self) -> usize {
         self.parts.up.targets.len()
-    }
-
-    /// Number of shortcut edges.
-    pub fn shortcut_count(&self) -> usize {
-        self.parts.up.shortcut.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The graph's arrays, for the store's encoder.
@@ -871,25 +652,18 @@ impl Ekg {
 
     // —— Delta mutation API (incremental ingestion, DESIGN.md §15) ——
     //
-    // These methods edit the *native* graph (no shortcut edges present;
-    // the delta engine keeps the customized graph as derived output) by
-    // splicing its columns, at O(edges) or O(name bytes) per call. Edge and
-    // synonym mutations are positional so every removal is exactly
-    // invertible. The derived tables — `topo`, `depth` and the name lookup
-    // — go stale after any mutation: callers batch mutations and then run
-    // [`Ekg::rebuild_derived`] once.
+    // These methods edit the graph by splicing its columns, at O(edges) or
+    // O(name bytes) per call. Edge and synonym mutations are positional so
+    // every removal is exactly invertible. The derived tables — `topo`,
+    // `depth` and the name lookup — go stale after any mutation: callers
+    // batch mutations and then run [`Ekg::rebuild_derived`] once.
 
-    /// Number of native (non-shortcut) parents of `concept`.
-    pub fn native_parent_count(&self, concept: ExtConceptId) -> usize {
-        self.native_parents(concept).count()
-    }
-
-    /// Add a native `child is-a parent` edge at the end of both edge lists.
+    /// Add a `child is-a parent` edge at the end of both edge lists.
     ///
     /// # Errors
     /// [`MedKbError::InvalidArgument`] on a self edge, an out-of-range
-    /// endpoint, a duplicate native edge, an edge out of the root, or an
-    /// edge that would create a cycle.
+    /// endpoint, a duplicate edge, an edge out of the root, or an edge that
+    /// would create a cycle.
     pub fn add_is_a(&mut self, child: ExtConceptId, parent: ExtConceptId) -> Result<()> {
         self.check_endpoints(child, parent)?;
         self.add_is_a_at(child, parent, self.parents(child).len(), self.children(parent).len())
@@ -925,7 +699,7 @@ impl Ekg {
                 "the root cannot be given a parent".to_string(),
             ));
         }
-        if self.native_parents(child).any(|p| p == parent) {
+        if self.parents(child).contains(&parent) {
             return Err(MedKbError::invalid(format!(
                 "duplicate edge {:?} -> {:?}",
                 self.name(child),
@@ -948,34 +722,33 @@ impl Ekg {
             return Err(MedKbError::invalid("edge insert position out of range".to_string()));
         }
         let (p, c, q) = (&mut self.parts, child.as_usize(), parent.as_usize());
-        p.up = p.up.rebuilt(|i, row| if i == c { row.insert(up_pos, native(parent)) });
-        p.down = p.down.rebuilt(|i, row| if i == q { row.insert(down_pos, native(child)) });
+        p.up = p.up.rebuilt(|i, row| if i == c { row.insert(up_pos, parent) });
+        p.down = p.down.rebuilt(|i, row| if i == q { row.insert(down_pos, child) });
         Ok(())
     }
 
-    /// Remove the native `child is-a parent` edge, returning the positions
-    /// it occupied in `(up[child], down[parent])` so [`Ekg::add_is_a_at`]
-    /// can restore it exactly.
+    /// Remove the `child is-a parent` edge, returning the positions it
+    /// occupied in `(up[child], down[parent])` so [`Ekg::add_is_a_at`] can
+    /// restore it exactly.
     ///
     /// # Errors
     /// [`MedKbError::InvalidArgument`] if the edge does not exist or it is
-    /// `child`'s last native parent edge (removing it would disconnect
-    /// `child` from the root).
+    /// `child`'s last parent edge (removing it would disconnect `child`
+    /// from the root).
     pub fn remove_is_a(
         &mut self,
         child: ExtConceptId,
         parent: ExtConceptId,
     ) -> Result<(usize, usize)> {
         self.check_endpoints(child, parent)?;
-        let Some(up_pos) = self.parents(child).iter().position(|e| !e.shortcut && e.to == parent)
-        else {
+        let Some(up_pos) = self.parents(child).iter().position(|&p| p == parent) else {
             return Err(MedKbError::invalid(format!(
-                "no native edge {:?} -> {:?}",
+                "no edge {:?} -> {:?}",
                 self.name(child),
                 self.name(parent)
             )));
         };
-        if self.native_parent_count(child) < 2 {
+        if self.parents(child).len() < 2 {
             return Err(MedKbError::invalid(format!(
                 "removing the last parent of {:?} would disconnect it",
                 self.name(child)
@@ -984,7 +757,7 @@ impl Ekg {
         let down_pos = self
             .children(parent)
             .iter()
-            .position(|e| !e.shortcut && e.to == child)
+            .position(|&c| c == child)
             .expect("edge stored in both directions");
         let (p, c, q) = (&mut self.parts, child.as_usize(), parent.as_usize());
         p.up = p.up.rebuilt(|i, row| if i == c { row.remove(up_pos); });
@@ -1042,10 +815,14 @@ impl Ekg {
             p.synonyms.push(syn);
         }
         p.synonym_offsets.push(p.synonyms.len() as u32);
+        p.up.targets.extend_from_slice(parents);
         p.up.offsets.push(p.up.targets.len() as u32);
         p.down.offsets.push(p.down.targets.len() as u32);
-        p.up = p.up.appended(&parents.iter().map(|&q| (id, native(q))).collect::<Vec<_>>());
-        p.down = p.down.appended(&parents.iter().map(|&q| (q, native(id))).collect::<Vec<_>>());
+        p.down = p.down.rebuilt(|c, row| {
+            if parents.contains(&ExtConceptId::from_usize(c)) {
+                row.push(id);
+            }
+        });
         Ok(id)
     }
 
@@ -1112,18 +889,17 @@ impl Ekg {
     /// the mutated graph is cyclic or disconnected — cannot happen through
     /// the validated mutation methods, but kept as a hard backstop.
     pub fn rebuild_derived(&mut self) -> Result<()> {
-        debug_assert_eq!(self.shortcut_count(), 0, "rebuild_derived expects a native graph");
         self.parts.derive()?;
         self.key_slots = KeySlots::build(&self.parts.lookup_keys);
         Ok(())
     }
 }
 
-/// Dense weighted upward-distance table from one source concept.
+/// Dense upward-distance table from one source concept.
 ///
 /// Produced by [`Ekg::upward_distances_from`]; the query-scoped scoring
 /// engine computes this once per query and probes it for every candidate
-/// LCS, replacing a per-pair `HashMap` Dijkstra. Probes are `O(1)` array
+/// LCS, replacing a per-pair `HashMap` search. Probes are `O(1)` array
 /// reads; [`UpwardDistances::iter`] walks only the reached ancestors.
 #[derive(Debug, Clone)]
 pub struct UpwardDistances {
@@ -1140,8 +916,8 @@ impl UpwardDistances {
         self.source
     }
 
-    /// Weighted upward distance to `ancestor`; `Some(0)` for the source
-    /// itself, `None` when `ancestor` does not subsume the source.
+    /// Upward hop distance to `ancestor`; `Some(0)` for the source itself,
+    /// `None` when `ancestor` does not subsume the source.
     pub fn get(&self, ancestor: ExtConceptId) -> Option<u32> {
         match self.dist[ancestor] {
             u32::MAX => None,
@@ -1177,7 +953,6 @@ pub struct UpwardScratch {
     stamp: Vec<u32>,
     epoch: u32,
     reached: Vec<ExtConceptId>,
-    heap: std::collections::BinaryHeap<(std::cmp::Reverse<u32>, ExtConceptId)>,
     source: Option<ExtConceptId>,
 }
 
@@ -1187,7 +962,9 @@ impl UpwardScratch {
         Self::default()
     }
 
-    fn begin(&mut self, source: ExtConceptId, n: usize) {
+    /// One level BFS from `source` along `edges`, replacing the last run.
+    fn search(&mut self, edges: &EdgeColumns, source: ExtConceptId) {
+        let n = edges.offsets.len() - 1;
         if self.dist.len() < n {
             self.dist.resize(n, 0);
             self.stamp.resize(n, 0);
@@ -1199,13 +976,18 @@ impl UpwardScratch {
             self.epoch = 1;
         }
         self.reached.clear();
-        self.heap.clear();
         self.source = Some(source);
-    }
-
-    fn set(&mut self, c: ExtConceptId, d: u32) {
-        self.dist[c.as_usize()] = d;
-        self.stamp[c.as_usize()] = self.epoch;
+        let Self { dist, stamp, epoch, reached, .. } = self;
+        let mut settle = |c: ExtConceptId, d: u32| {
+            let fresh = stamp[c.as_usize()] != *epoch;
+            if fresh {
+                dist[c.as_usize()] = d;
+                stamp[c.as_usize()] = *epoch;
+            }
+            fresh
+        };
+        settle(source, 0);
+        edges.level_bfs(source, reached, settle);
     }
 
     /// The source of the most recent run, if any.
@@ -1213,8 +995,8 @@ impl UpwardScratch {
         self.source
     }
 
-    /// Weighted upward distance to `ancestor` per the most recent run;
-    /// `Some(0)` for the source itself, `None` when unreachable.
+    /// Upward hop distance to `ancestor` per the most recent run; `Some(0)`
+    /// for the source itself, `None` when unreachable.
     pub fn distance(&self, ancestor: ExtConceptId) -> Option<u32> {
         let i = ancestor.as_usize();
         if self.stamp[i] == self.epoch {
@@ -1227,120 +1009,6 @@ impl UpwardScratch {
     /// Strict ancestors reached by the most recent run, in settle order.
     pub fn reached(&self) -> &[ExtConceptId] {
         &self.reached
-    }
-}
-
-/// The customized graph's hop adjacency as one contiguous table (CSR):
-/// each concept's parents, then its children, in edge-list order.
-///
-/// The graph's up and down columns hold the same targets, but a scan that
-/// reads both touches two offset tables and two target arrays per concept;
-/// at 350k concepts that made candidate enumeration ~20% slower than this
-/// one table (1.4 M ids, 7.1 MB). It is a snapshot of the graph it was
-/// built from; edges added afterwards are not in it.
-#[derive(Debug, Clone)]
-pub struct Adjacency {
-    offsets: Vec<u32>,
-    neighbors: Vec<ExtConceptId>,
-}
-
-impl Adjacency {
-    /// Build the table over every edge of `ekg`, native and shortcut.
-    ///
-    /// # Panics
-    /// If the graph has `u32::MAX` or more edge endpoints.
-    pub fn build(ekg: &Ekg) -> Self {
-        let mut offsets = Vec::with_capacity(ekg.len() + 1);
-        offsets.push(0u32);
-        let mut neighbors = Vec::with_capacity(2 * ekg.edge_count());
-        for c in ekg.concepts() {
-            neighbors.extend_from_slice(ekg.parts.up.targets_of(c));
-            neighbors.extend_from_slice(ekg.parts.down.targets_of(c));
-            offsets.push(u32::try_from(neighbors.len()).expect("adjacency exceeds u32 offsets"));
-        }
-        Self { offsets, neighbors }
-    }
-
-    /// Number of concepts the table covers.
-    pub(crate) fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// `concept`'s parents, then its children, in edge-list order.
-    pub(crate) fn neighbors(&self, concept: ExtConceptId) -> &[ExtConceptId] {
-        let i = concept.as_usize();
-        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// Incremental ring-by-ring BFS over an [`Adjacency`].
-///
-/// Algorithm 2's dynamic radius growth asks for radius `r`, then `r+1`, …
-/// until enough flagged instances are reachable. The scan keeps its
-/// discovery list alive between calls, and that list is also its queue:
-/// each ring is expanded from the slice the previous ring appended, so an
-/// increment pays only for the newly reached ring. Discovery order is
-/// identical to a fresh [`Ekg::neighborhood`] call at the same radius.
-#[derive(Debug)]
-pub struct NeighborhoodScan<'a> {
-    adjacency: &'a Adjacency,
-    seen: Vec<bool>,
-    /// Discovery order with the start first; `order[ring..]` is the
-    /// outermost ring (hop == `radius`), the next one to expand.
-    order: Vec<(ExtConceptId, u32)>,
-    ring: usize,
-    radius: u32,
-}
-
-impl<'a> NeighborhoodScan<'a> {
-    /// A scan rooted at `start`, with nothing expanded yet (radius 0).
-    pub fn new(adjacency: &'a Adjacency, start: ExtConceptId) -> Self {
-        let mut seen = vec![false; adjacency.len()];
-        seen[start.as_usize()] = true;
-        Self { adjacency, seen, order: vec![(start, 0)], ring: 0, radius: 0 }
-    }
-
-    /// Largest radius expanded so far.
-    pub fn radius(&self) -> u32 {
-        self.radius
-    }
-
-    /// Grow the scan until every concept within `radius` hops has been
-    /// discovered, returning the full discovery list. No-op when `radius`
-    /// does not exceed the current radius.
-    pub fn expand_to(&mut self, radius: u32) -> &[(ExtConceptId, u32)] {
-        self.expand_with(radius, |_, _| {});
-        self.discovered()
-    }
-
-    /// [`NeighborhoodScan::expand_to`], handing each newly discovered
-    /// concept and its hop count to `visit` as it is discovered, in
-    /// discovery order. The relaxer's flag check runs here, in the same
-    /// pass as the `seen` probe.
-    pub fn expand_with(&mut self, radius: u32, mut visit: impl FnMut(ExtConceptId, u32)) {
-        let adjacency = self.adjacency;
-        while self.radius < radius && self.ring < self.order.len() {
-            let (lo, hi) = (self.ring, self.order.len());
-            let h = self.radius + 1;
-            for at in lo..hi {
-                for &n in adjacency.neighbors(self.order[at].0) {
-                    let seen = &mut self.seen[n.as_usize()];
-                    if !*seen {
-                        *seen = true;
-                        self.order.push((n, h));
-                        visit(n, h);
-                    }
-                }
-            }
-            self.ring = hi;
-            self.radius = h;
-        }
-        self.radius = self.radius.max(radius);
-    }
-
-    /// Everything discovered so far (start excluded), in BFS order.
-    pub fn discovered(&self) -> &[(ExtConceptId, u32)] {
-        &self.order[1..]
     }
 }
 
@@ -1370,9 +1038,10 @@ mod tests {
     }
 
     #[test]
-    fn unit_bfs_matches_dijkstra_scratch() {
-        // Same distances AND the same settle order, on a multi-parent
-        // graph large enough to produce distance ties.
+    fn level_bfs_settles_by_distance_then_descending_id() {
+        // The dense and scratch searches reach exactly the reference BFS's
+        // ancestors at its distances, in ascending distance and descending
+        // id — on a multi-parent graph large enough to produce ties.
         let mut b = EkgBuilder::new();
         let mut ids = vec![b.concept("c0")];
         for i in 1..120usize {
@@ -1388,15 +1057,16 @@ mod tests {
             ids.push(c);
         }
         let g = b.build().expect("valid");
-        let mut dij = UpwardScratch::new();
-        let mut bfs = UpwardScratch::new();
+        let mut scratch = UpwardScratch::new();
         for &c in &ids {
-            g.upward_distances_into(c, &mut dij);
-            g.upward_unit_distances_into(c, &mut bfs);
-            assert_eq!(dij.reached(), bfs.reached(), "settle order for {c:?}");
-            for &r in dij.reached() {
-                assert_eq!(dij.distance(r), bfs.distance(r), "distance to {r:?} from {c:?}");
-            }
+            let mut want: Vec<(ExtConceptId, u32)> = g.upward_distances(c).into_iter().collect();
+            want.sort_unstable_by_key(|&(a, d)| (d, std::cmp::Reverse(a)));
+            g.upward_distances_into(c, &mut scratch);
+            let got: Vec<_> =
+                scratch.reached().iter().map(|&a| (a, scratch.distance(a).unwrap())).collect();
+            assert_eq!(got, want, "scratch search from {c:?}");
+            assert_eq!(g.upward_distances_from(c).iter().collect::<Vec<_>>(), want, "{c:?}");
+            assert_eq!(scratch.distance(c), Some(0));
         }
     }
 
@@ -1449,8 +1119,8 @@ mod tests {
         let pos: HashMap<ExtConceptId, usize> =
             g.topo_children_first().iter().enumerate().map(|(i, &c)| (c, i)).collect();
         for c in g.concepts() {
-            for e in g.parents(c).iter() {
-                assert!(pos[&c] < pos[&e.to], "{c:?} should precede parent {:?}", e.to);
+            for p in g.parents(c) {
+                assert!(pos[&c] < pos[p], "{c:?} should precede parent {p:?}");
             }
         }
         assert_eq!(*g.topo_children_first().last().unwrap(), g.root());
@@ -1503,114 +1173,41 @@ mod tests {
     fn neighborhood_respects_radius() {
         let g = diamond();
         let d = id_of(&g, "d");
-        let n1: Vec<_> = g.neighborhood(d, 1).iter().map(|&(c, _)| c).collect();
+        let n1: Vec<_> = g.neighborhood(d, 1, &[]).iter().map(|&(c, _)| c).collect();
         assert_eq!(n1, vec![id_of(&g, "c")]);
-        let n2 = g.neighborhood(d, 2);
+        let n2 = g.neighborhood(d, 2, &[]);
         assert_eq!(n2.len(), 3); // c, a, b
-        let all = g.neighborhood(d, 10);
+        let all = g.neighborhood(d, 10, &[]);
         assert_eq!(all.len(), 4); // everything but d itself
     }
 
+    /// Grouping pairs into lists keeps each list in pair order, and
+    /// splicing one list leaves every other list as it was.
     #[test]
-    fn adjacency_lists_parents_then_children_with_shortcuts() {
-        let mut g = diamond();
-        let d = id_of(&g, "d");
-        g.add_shortcut(d, g.root(), 3).unwrap();
-        let adj = Adjacency::build(&g);
-        assert_eq!(adj.len(), g.len());
-        for c in g.concepts() {
-            let want: Vec<ExtConceptId> =
-                g.parents(c).targets().iter().chain(g.children(c).targets()).copied().collect();
-            assert_eq!(adj.neighbors(c), &want[..], "{c:?}");
-        }
-        // The scan reaches the shortcut's far end in one hop, discovers in
-        // the oracle's order, and a scan that has run out of graph still
-        // reports the radius it was asked.
-        let mut scan = NeighborhoodScan::new(&adj, d);
-        assert!(scan.expand_to(1).contains(&(g.root(), 1)));
-        assert_eq!(scan.expand_to(9), &g.neighborhood(d, 9)[..]);
-        assert_eq!(scan.radius(), 9);
-        let root_children: Vec<Edge> = g.children(g.root()).iter().collect();
-        assert_eq!(root_children.last(), Some(&Edge { to: d, weight: 3, shortcut: true }));
-        assert_eq!(g.children(g.root()).targets().len(), 3);
-    }
-
-    /// Rebuilding an edge column with edges spliced in and out keeps the
-    /// shortcut bitset in step with the targets, across word boundaries.
-    #[test]
-    fn edge_column_splices_shift_the_shortcut_bits() {
+    fn edge_columns_group_stably_and_splice_one_list() {
         let n = 3;
-        let model: Vec<(ExtConceptId, Edge)> = (0..150u32)
-            .map(|i| {
-                let e = Edge { to: ExtConceptId::new(i), weight: i, shortcut: i % 3 == 0 };
-                (ExtConceptId::from_usize(i as usize % n), e)
-            })
+        let pairs: Vec<(ExtConceptId, ExtConceptId)> = (0..150u32)
+            .map(|i| (ExtConceptId::from_usize(i as usize % n), ExtConceptId::new(i)))
             .collect();
-        let rows = |cols: &EdgeColumns| -> Vec<Vec<Edge>> {
-            (0..n).map(|c| cols.row(ExtConceptId::from_usize(c)).iter().collect()).collect()
+        let rows = |cols: &EdgeColumns| -> Vec<Vec<ExtConceptId>> {
+            (0..n).map(|c| cols.row(ExtConceptId::from_usize(c)).to_vec()).collect()
         };
-        let mut cols = EdgeColumns::empty(n).appended(&model);
-        let mut want = rows(&cols);
-        for (pos, shortcut) in [(0, true), (7, false), (30, true), (52, true)] {
-            let e = Edge { to: ExtConceptId::new(999), weight: 9, shortcut };
+        let mut cols = EdgeColumns::grouped(n, pairs.iter().copied());
+        let mut want: Vec<Vec<ExtConceptId>> = (0..n)
+            .map(|c| pairs.iter().filter(|p| p.0.as_usize() == c).map(|p| p.1).collect())
+            .collect();
+        assert_eq!(rows(&cols), want);
+        let e = ExtConceptId::new(999);
+        for pos in [0, 7, 30, 52] {
             cols = cols.rebuilt(|c, row| if c == 1 { row.insert(pos, e) });
             want[1].insert(pos, e);
             assert_eq!(rows(&cols), want);
-            assert_eq!(cols.shortcut.len(), cols.targets.len().div_ceil(64));
         }
         for pos in [52, 0, 13, 13, 40] {
             cols = cols.rebuilt(|c, row| if c == 1 { row.remove(pos); });
             want[1].remove(pos);
             assert_eq!(rows(&cols), want);
-            assert_eq!(cols.shortcut.len(), cols.targets.len().div_ceil(64));
         }
-    }
-
-    #[test]
-    fn batch_shortcuts_match_one_at_a_time_and_reject_repeats() {
-        let mut one = diamond();
-        let (a, c, d) = (id_of(&one, "a"), id_of(&one, "c"), id_of(&one, "d"));
-        let root = one.root();
-        let batch = [(d, root, 3), (c, root, 2), (d, a, 2)];
-        let mut batched = one.clone();
-        for &(desc, anc, dist) in &batch {
-            one.add_shortcut(desc, anc, dist).unwrap();
-        }
-        let reach = crate::reach::ReachabilityIndex::build(&batched);
-        batched.add_shortcuts(&batch, &reach).unwrap();
-        assert_eq!(batched, one);
-        let before = batched.clone();
-        let repeated = [(id_of(&before, "b"), root, 2), (id_of(&before, "b"), root, 2)];
-        assert!(batched.add_shortcuts(&repeated, &reach).is_err());
-        assert!(batched.add_shortcuts(&[(d, root, 3)], &reach).is_err());
-        assert_eq!(batched, before, "a rejected batch changes nothing");
-    }
-
-    #[test]
-    fn shortcut_shrinks_hops_but_keeps_weight() {
-        let mut g = diamond();
-        let d = id_of(&g, "d");
-        let root = g.root();
-        assert_eq!(g.neighborhood(d, 1).len(), 1);
-        g.add_shortcut(d, root, 3).unwrap();
-        let n1: HashSet<_> = g.neighborhood(d, 1).iter().map(|&(c, _)| c).collect();
-        assert!(n1.contains(&root));
-        // Semantic (weighted) distance is unchanged by the shortcut.
-        assert_eq!(g.distance_to_ancestor(d, root), Some(3));
-        assert_eq!(g.shortcut_count(), 1);
-    }
-
-    #[test]
-    fn shortcut_rejects_non_ancestor_and_duplicates() {
-        let mut g = diamond();
-        let a = id_of(&g, "a");
-        let b = id_of(&g, "b");
-        let d = id_of(&g, "d");
-        assert!(g.add_shortcut(a, b, 2).is_err()); // siblings
-        assert!(g.add_shortcut(g.root(), d, 2).is_err()); // wrong direction
-        g.add_shortcut(d, g.root(), 3).unwrap();
-        assert!(g.add_shortcut(d, g.root(), 3).is_err()); // duplicate
-        assert!(g.add_shortcut(d, a, 1).is_err()); // must span >= 2 hops
     }
 
     #[test]

@@ -20,9 +20,9 @@ pub struct LcsOutcome {
     /// The minimal common subsumers at the minimal total distance. Never
     /// empty (the root subsumes everything). Sorted by id for determinism.
     pub concepts: Vec<ExtConceptId>,
-    /// Weighted distance from the first query concept up to the LCS level.
+    /// Hop distance from the first query concept up to the LCS level.
     pub dist_a: u32,
-    /// Weighted distance from the second query concept up to the LCS level.
+    /// Hop distance from the second query concept up to the LCS level.
     pub dist_b: u32,
 }
 
@@ -92,7 +92,7 @@ pub fn lcs(ekg: &Ekg, a: ExtConceptId, b: ExtConceptId) -> LcsOutcome {
 ///
 /// This is the query-scoped fast path: the relaxation engine computes
 /// `up_q = ekg.upward_distances_from(query)` once, then scores every
-/// candidate against it — one small candidate-side Dijkstra per pair
+/// candidate against it — one small candidate-side upward search per pair
 /// instead of two, and no per-pair ancestor BFS during pruning. Produces
 /// outcomes identical to `lcs(ekg, up_q.source(), b)`.
 pub fn lcs_with_upward(
@@ -105,7 +105,7 @@ pub fn lcs_with_upward(
     lcs_with_upward_scratch(ekg, reach, up_q, b, &mut scratch)
 }
 
-/// [`lcs_with_upward`] with the candidate-side Dijkstra run in caller-owned
+/// [`lcs_with_upward`] with the candidate-side search run in caller-owned
 /// scratch storage — the allocation-free hot path the query-scoped scorer
 /// loops over. Outcomes are identical to `lcs(ekg, up_q.source(), b)`.
 pub fn lcs_with_upward_scratch(

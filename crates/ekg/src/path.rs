@@ -17,9 +17,8 @@
 //! 0.9^6`, while the reverse direction (1 up, 3 downs) costs only `0.9^3`.
 //!
 //! Paths always run through the least common subsumer, so they are a block
-//! of generalizations followed by a block of specializations; shortcut
-//! edges expand to as many unit steps as their recorded original distance,
-//! which is why [`PathSummary`] is expressed in unit steps.
+//! of generalizations followed by a block of specializations, each step one
+//! native edge.
 
 use medkb_types::ExtConceptId;
 
@@ -103,9 +102,9 @@ pub fn path_between(ekg: &Ekg, a: ExtConceptId, b: ExtConceptId) -> (PathSummary
 }
 
 /// Reconstruct one concrete shortest concept chain `a → … → lcs → … → b`
-/// (inclusive of the endpoints), following weighted-shortest upward routes
-/// on both sides. Explanation surfaces render this as the "why" of a
-/// relaxation answer.
+/// (inclusive of the endpoints), following shortest upward routes on both
+/// sides: `dist_a + dist_b + 1` concepts, one per step of the Eq. 4 path.
+/// Explanation surfaces render this as the "why" of a relaxation answer.
 pub fn concrete_path(ekg: &Ekg, a: ExtConceptId, b: ExtConceptId) -> Vec<ExtConceptId> {
     if a == b {
         return vec![a];
@@ -120,12 +119,12 @@ pub fn concrete_path(ekg: &Ekg, a: ExtConceptId, b: ExtConceptId) -> Vec<ExtConc
     up_side
 }
 
-/// Greedy weighted-shortest climb from `from` up to `target` (inclusive),
-/// following parents that minimize remaining distance to `target`.
+/// Greedy shortest climb from `from` up to `target` (inclusive), each step
+/// to the parent nearest `target`, ties to the smaller id.
 fn climb(ekg: &Ekg, from: ExtConceptId, target: ExtConceptId) -> Vec<ExtConceptId> {
-    // One reversed Dijkstra from the target answers every "how far is this
-    // parent from the target" probe of the walk (the down-graph mirrors the
-    // up-graph, so these are exactly the upward distances to `target`).
+    // One downward search from the target answers every "how far is this
+    // parent from the target" probe of the walk (the down lists mirror the
+    // up lists, so these are exactly the upward distances to `target`).
     let mut below = crate::graph::UpwardScratch::new();
     ekg.downward_distances_into(target, &mut below);
     let mut chain = vec![from];
@@ -134,16 +133,12 @@ fn climb(ekg: &Ekg, from: ExtConceptId, target: ExtConceptId) -> Vec<ExtConceptI
         let next = ekg
             .parents(cur)
             .iter()
-            .filter_map(|e| {
-                let remaining =
-                    if e.to == target { Some(0) } else { below.distance(e.to) }?;
-                Some((e.weight + remaining, e.to))
-            })
-            .min_by_key(|&(d, c)| (d, c));
+            .filter_map(|&p| Some((below.distance(p)?, p)))
+            .min();
         match next {
-            Some((_, c)) => {
-                chain.push(c);
-                cur = c;
+            Some((_, p)) => {
+                chain.push(p);
+                cur = p;
             }
             None => break, // target unreachable (not an ancestor): stop
         }

@@ -1,10 +1,10 @@
 //! Word and phrase embedding substrate, implemented from scratch.
 //!
-//! The paper uses word embeddings [8, 30] and the SIF sentence embedding of
-//! Arora et al. [3] in three places: as the third mapping method in
+//! The paper uses word embeddings \[8, 30\] and the SIF sentence embedding of
+//! Arora et al. \[3\] in three places: as the third mapping method in
 //! Table 1, as the `Embedding-trained` / `Embedding-pre-trained` baselines
 //! in Table 2, and as the fallback lookup for query terms. Pre-trained
-//! biomedical vectors [32] are download-gated, so *both* embedding flavours
+//! biomedical vectors \[32\] are download-gated, so *both* embedding flavours
 //! here are trained by the same code — the "pre-trained" variant simply
 //! trains on the out-of-domain corpus (see `medkb-corpus::gen`).
 //!

@@ -1,5 +1,5 @@
 //! Smooth Inverse Frequency (SIF) phrase embeddings — the "simple but
-//! tough-to-beat" sentence embedding of Arora et al. [3], which the paper
+//! tough-to-beat" sentence embedding of Arora et al. \[3\], which the paper
 //! uses both to embed multi-word query terms and as the
 //! `Embedding-trained` baseline.
 //!

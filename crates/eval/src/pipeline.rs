@@ -161,7 +161,7 @@ mod tests {
         let stack = EvalStack::build(EvalConfig::tiny(101)).unwrap();
         assert!(stack.world.kb.instance_count() > 50);
         assert!(!stack.ingested.mappings.is_empty());
-        assert!(stack.ingested.shortcuts_added > 0);
+        assert!(!stack.ingested.shortcuts.is_empty());
         assert!(stack.sif_trained.vectors().vocab_size() > 50);
     }
 

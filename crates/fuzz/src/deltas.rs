@@ -119,13 +119,12 @@ fn edge_churn(rng: &mut StdRng, engine: &DeltaEngine) -> Vec<DeltaOp> {
             }
         } else {
             let cands: Vec<ExtConceptId> =
-                sim.concepts().filter(|&c| sim.native_parent_count(c) >= 2).collect();
+                sim.concepts().filter(|&c| sim.parents(c).len() >= 2).collect();
             if cands.is_empty() {
                 continue;
             }
             let child = cands[rng.gen_range(0..cands.len())];
-            let parents: Vec<ExtConceptId> =
-                sim.parents(child).iter().filter(|e| !e.shortcut).map(|e| e.to).collect();
+            let parents = sim.parents(child).to_vec();
             let parent = parents[rng.gen_range(0..parents.len())];
             sim.remove_is_a(child, parent).expect("audited removal");
             ops.push(DeltaOp::RemoveIsA { child, parent });

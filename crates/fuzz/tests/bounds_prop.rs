@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn pruned_topk_is_bit_identical_to_reference(seed in 0u64..240, k in 1usize..20) {
         let (w, out, config) = world_and_output(seed);
-        let r = QueryRelaxer::new(out, RelaxConfig { pruning: true, ..config });
+        let r = QueryRelaxer::new(out, config);
         let queries = query_mix(&w, &r);
 
         let reference: Vec<_> =

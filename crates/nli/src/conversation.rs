@@ -533,11 +533,15 @@ mod tests {
         let world_unmapped = {
             let ekg = &e.relaxer.ingested().ekg;
             let flagged = &e.relaxer.ingested().flagged;
+            let shortcuts = e.relaxer.ingested().shortcuts.list();
             ekg.concepts()
                 .find(|c| {
                     !flagged.contains(c)
                         && ekg.depth(*c) >= 3
-                        && ekg.neighborhood(*c, 4).iter().any(|(n, _)| flagged.contains(n))
+                        && ekg
+                            .neighborhood(*c, 4, shortcuts)
+                            .iter()
+                            .any(|(n, _)| flagged.contains(n))
                         // The name must not embed a KB instance name as a
                         // sub-phrase, or the extractor resolves it as known.
                         && e.extractor.extract(ekg.name(*c)).known.is_empty()
@@ -653,11 +657,12 @@ mod tests {
     fn unknown_term_name(e: &ConversationEngine) -> String {
         let ekg = &e.relaxer.ingested().ekg;
         let flagged = &e.relaxer.ingested().flagged;
+        let shortcuts = e.relaxer.ingested().shortcuts.list();
         ekg.concepts()
             .find(|c| {
                 !flagged.contains(c)
                     && ekg.depth(*c) >= 3
-                    && ekg.neighborhood(*c, 4).iter().any(|(n, _)| flagged.contains(n))
+                    && ekg.neighborhood(*c, 4, shortcuts).iter().any(|(n, _)| flagged.contains(n))
                     && e.extractor.extract(ekg.name(*c)).known.is_empty()
             })
             .map(|c| ekg.name(c).to_string())

@@ -191,7 +191,7 @@ mod tests {
         let f = paper_fragment();
         let pf = f.concept("psychogenic fever");
         let names: Vec<&str> =
-            f.ekg.neighborhood(pf, 4).iter().map(|&(c, _)| f.ekg.name(c)).collect();
+            f.ekg.neighborhood(pf, 4, &[]).iter().map(|&(c, _)| f.ekg.name(c)).collect();
         assert!(names.contains(&"hyperpyrexia"));
         assert!(names.contains(&"hypothermia"), "{names:?}");
     }
@@ -210,7 +210,7 @@ mod tests {
         let f = paper_fragment();
         let p = f.concept("pyelectasia");
         let names: Vec<&str> =
-            f.ekg.neighborhood(p, 2).iter().map(|&(c, _)| f.ekg.name(c)).collect();
+            f.ekg.neighborhood(p, 2, &[]).iter().map(|&(c, _)| f.ekg.name(c)).collect();
         assert!(names.contains(&"kidney disease"));
     }
 

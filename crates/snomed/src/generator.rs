@@ -696,12 +696,11 @@ mod tests {
         assert!(!pairs.is_empty());
         for (a, b) in pairs {
             // The antonym is a sibling (shares a parent)…
-            let pa: std::collections::HashSet<_> =
-                t.ekg.parents(a).iter().map(|e| e.to).collect();
-            assert!(t.ekg.parents(b).iter().any(|e| pa.contains(&e.to)));
+            let pa = t.ekg.parents(a);
+            assert!(t.ekg.parents(b).iter().any(|p| pa.contains(p)));
             // …whose latent is pushed away from its pair, farther apart
             // than either is from the shared parent.
-            let parent = t.ekg.parents(b).targets()[0];
+            let parent = t.ekg.parents(b)[0];
             assert!(
                 t.latent_distance(a, b) > t.latent_distance(b, parent),
                 "{} / {}",
@@ -765,7 +764,7 @@ mod tests {
         let (a, b) = (findings[10], findings[findings.len() / 2]);
         let out = medkb_ekg::lcs::lcs(&t.ekg, a, b);
         assert!(!out.concepts.is_empty());
-        assert!(!t.ekg.neighborhood(a, 4).is_empty());
+        assert!(!t.ekg.neighborhood(a, 4, &[]).is_empty());
     }
 
     #[test]

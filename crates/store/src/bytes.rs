@@ -24,8 +24,8 @@ const STAGE_BYTES: usize = 64 * 1024;
 
 /// Streams one little-endian section into a sink, hashing it on the way:
 /// values gather in a small staging buffer that is checksummed and written
-/// whenever it fills, so a section of any size costs [`STAGE_BYTES`] of
-/// memory, never its own size.
+/// whenever it fills, so a section of any size costs `STAGE_BYTES` (64 KiB)
+/// of memory, never its own size.
 ///
 /// The first write error is kept and every later write skipped, so the
 /// section encoders need no error plumbing; [`SectionWriter::finish`]

@@ -1,11 +1,11 @@
 //! The world store: save / open of a whole [`IngestOutput`].
 //!
-//! # File layout (format version 1, all integers little-endian)
+//! # File layout (format version 2, all integers little-endian)
 //!
 //! ```text
 //! offset 0   magic           8 bytes  b"MEDKBST1"
-//!        8   format version  u32      (= 1)
-//!       12   section count   u32      (= 8)
+//!        8   format version  u32      (= 2)
+//!       12   section count   u32      (= 9)
 //!       16   table checksum  u64      xxh64(section table, seed = version)
 //!       24   section table   count × 32 bytes:
 //!              id u32 · reserved u32 · offset u64 · len u64 · checksum u64
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use medkb_core::{
     ConceptMapper, FlagTable, Frequencies, IngestOutput, InstanceIndex, MappingIndex, MappingMethod,
 };
-use medkb_ekg::{EdgeColumns, Ekg, EkgParts, ReachabilityIndex};
+use medkb_ekg::{EdgeColumns, Ekg, EkgParts, ReachabilityIndex, Shortcuts};
 use medkb_embed::{EmbeddingIndex, SifModel, WordVectors};
 use medkb_ontology::ContextSpec;
 use medkb_snomed::oracle::N_TAGS;
@@ -47,20 +47,21 @@ use crate::xxh::xxh64;
 
 /// Magic bytes opening every store file.
 pub const MAGIC: [u8; 8] = *b"MEDKBST1";
-/// Current format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version. Version 2 stores the graph's native edges
+/// alone and the §5.1 shortcuts in a section of their own.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section ids in file order. The order is part of the format.
-const SECTION_IDS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-const SECTION_NAMES: [&str; 8] =
-    ["ekg", "contexts", "freqs", "mappings", "instances", "reach", "mapper", "meta"];
+const SECTION_IDS: [u32; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+const SECTION_NAMES: [&str; 9] =
+    ["ekg", "contexts", "freqs", "mappings", "instances", "reach", "shortcuts", "mapper", "meta"];
 const HEADER_FIXED: usize = 24;
 const TABLE_ENTRY: usize = 32;
 
 /// Versioned, checksummed flat-binary persistence of an ingested world.
 ///
-/// [`WorldStore::save`] lays the entire [`IngestOutput`] — customized
-/// graph, contexts, frequency/IC tables, mappings, reachability labels,
+/// [`WorldStore::save`] lays the entire [`IngestOutput`] — graph,
+/// contexts, frequency/IC tables, mappings, reachability labels, shortcuts,
 /// embedding model and concept index — into one flat file;
 /// [`WorldStore::open`] validates the header and every section checksum,
 /// then reconstructs the output without re-running Algorithm 1.
@@ -139,7 +140,8 @@ fn write_image<W: Write + Seek>(out: &IngestOutput, w: &mut W) -> io::Result<u64
             3 => enc_mappings(&mut section, &out.mappings),
             4 => enc_instances(&mut section, &out.instances_of),
             5 => enc_reach(&mut section, &out.reach),
-            6 => enc_mapper(&mut section, &out.mapper),
+            6 => enc_shortcuts(&mut section, &out.shortcuts),
+            7 => enc_mapper(&mut section, &out.mapper),
             _ => enc_meta(&mut section, out),
         }
         let (len, checksum) = section.finish()?;
@@ -175,8 +177,14 @@ fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> 
     let pairs = s.next(dec_mappings)?;
     let instances_of = s.next(dec_instances)?;
     let reach = s.next(|b| dec_reach(b, n))?;
+    // Decoded only while no defect has been found, so the graph and the
+    // closure it is checked against are there.
+    let shortcuts = s.next(|b| match (&ekg, &reach) {
+        (Some(ekg), Some(reach)) => dec_shortcuts(b, ekg, reach),
+        _ => unreachable!("a section decodes only after every earlier one did"),
+    })?;
     let mapper = s.next(|b| dec_mapper(b, n))?;
-    let shortcuts_added = s.next(|b| dec_meta(b, n, m))?;
+    let meta = s.next(|b| dec_meta(b, n, m))?;
     // Every section decoded exactly when no defect was found.
     let (
         Some(ekg),
@@ -185,9 +193,10 @@ fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> 
         Some(pairs),
         Some(instances_of),
         Some(reach),
+        Some(shortcuts),
         Some((method, embedding)),
-        Some(shortcuts_added),
-    ) = (ekg, contexts, freqs, pairs, instances_of, reach, mapper, shortcuts_added)
+        Some(()),
+    ) = (ekg, contexts, freqs, pairs, instances_of, reach, shortcuts, mapper, meta)
     else {
         return Err(MedKbError::Validation(s.report));
     };
@@ -210,7 +219,7 @@ fn read_image<R: Read + Seek>(src: &mut R, label: &str) -> Result<IngestOutput> 
         flagged,
         mapper: Arc::new(mapper),
         reach: Arc::new(reach),
-        shortcuts_added,
+        shortcuts: Arc::new(shortcuts),
     })
 }
 
@@ -343,8 +352,6 @@ fn enc_ekg(w: &mut SectionWriter<'_>, g: &EkgParts) {
     for cols in [&g.up, &g.down] {
         w.put_u32_slice(&cols.offsets);
         w.put_u32s(cols.targets.iter().map(|c| c.raw()));
-        w.put_u32_slice(&cols.weights);
-        w.put_u64_slice(&cols.shortcut);
     }
     w.put_u32(g.root.raw());
     w.pad8();
@@ -353,9 +360,11 @@ fn enc_ekg(w: &mut SectionWriter<'_>, g: &EkgParts) {
 }
 
 /// Decode the `ekg` section straight into the graph's columns, checking
-/// every offset table and every id it holds: a checksum-valid image with
-/// an out-of-range edge or lookup id, unsorted lookup keys or a `topo`
-/// that is not a permutation is a defect here, never a panic later.
+/// every offset table and every id it holds and what the edges, `topo` and
+/// `depth` mean: a checksum-valid image with an out-of-range edge or lookup
+/// id, unsorted lookup keys, a `topo` that is not a permutation, up and
+/// down lists that disagree, an edge against `topo` or a stale depth is a
+/// defect here, never a panic or a silently different answer later.
 fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
     let mut r = SectionReader::new(buf, "ekg");
     let ids = |raw: Vec<u32>| -> Vec<ExtConceptId> {
@@ -391,20 +400,13 @@ fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
     for _ in 0..2 {
         let offsets = r.u32_slice()?;
         let targets = ids(r.u32_slice()?);
-        let weights = r.u32_slice()?;
-        let shortcut = r.u64_slice()?;
-        let tail = targets.len() % 64;
-        if !spans(&offsets, n, targets.len())
-            || weights.len() != targets.len()
-            || shortcut.len() != targets.len().div_ceil(64)
-            || shortcut.last().is_some_and(|&w| tail != 0 && w >> tail != 0)
-        {
+        if !spans(&offsets, n, targets.len()) {
             return r.fail("edge arrays are inconsistent");
         }
         if !in_range(&targets, n) {
             return r.fail(format!("edge target out of range ({n} concepts)"));
         }
-        edges.push(EdgeColumns { offsets, targets, weights, shortcut });
+        edges.push(EdgeColumns { offsets, targets });
     }
     let down = edges.pop().expect("two edge lists");
     let up = edges.pop().expect("two edge lists");
@@ -413,7 +415,7 @@ fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
     r.align8();
     let topo = ids(r.u32_slice()?);
     let depth = r.u32_slice()?;
-    if (root as usize) >= n.max(1) || topo.len() != n || depth.len() != n {
+    if root as usize >= n || topo.len() != n || depth.len() != n {
         return r.fail("root/topo/depth inconsistent with concept count");
     }
     let mut seen = vec![false; n];
@@ -421,6 +423,9 @@ fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
         && topo.iter().all(|c| !std::mem::replace(&mut seen[c.raw() as usize], true));
     if !permutation {
         return r.fail("topo is not a permutation of the concepts");
+    }
+    if let Err(defect) = check_edges(&up, &down, ExtConceptId::new(root), &topo, &depth) {
+        return r.fail(defect);
     }
     Ok(EkgParts {
         names,
@@ -435,6 +440,57 @@ fn dec_ekg(buf: &[u8]) -> Result<EkgParts> {
         topo,
         depth,
     })
+}
+
+/// Check what a decoded graph's edges mean: the down lists hold exactly
+/// the up lists' edges, every up edge points forward in the children-first
+/// `topo` (so the graph is acyclic), and `depth` is each concept's hop
+/// depth below `root` (so every concept hangs under the root). The columns
+/// are in range and `topo` is a permutation.
+fn check_edges(
+    up: &EdgeColumns,
+    down: &EdgeColumns,
+    root: ExtConceptId,
+    topo: &[ExtConceptId],
+    depth: &[u32],
+) -> std::result::Result<(), &'static str> {
+    let n = topo.len();
+    let concepts = || (0..n).map(ExtConceptId::from_usize);
+    // Each edge as `parent << 32 | child`, read from either side.
+    let keyed = |cols: &EdgeColumns, upward: bool| {
+        let mut keys: Vec<u64> = concepts()
+            .flat_map(|c| cols.row(c).iter().map(move |t| (u64::from(c.raw()), u64::from(t.raw()))))
+            .map(|(c, t)| if upward { t << 32 | c } else { c << 32 | t })
+            .collect();
+        keys.sort_unstable();
+        keys
+    };
+    if keyed(up, true) != keyed(down, false) {
+        return Err("up and down edge lists do not mirror each other");
+    }
+    let mut position = vec![0usize; n];
+    for (i, c) in topo.iter().enumerate() {
+        position[c.as_usize()] = i;
+    }
+    let at = |c: ExtConceptId| position[c.as_usize()];
+    if concepts().any(|c| up.row(c).iter().any(|&p| at(p) <= at(c))) {
+        return Err("an edge points against topo");
+    }
+    let mut bfs = vec![u32::MAX; n];
+    bfs[root.as_usize()] = 0;
+    let mut queue = std::collections::VecDeque::from([root]);
+    while let Some(c) = queue.pop_front() {
+        for &d in down.row(c) {
+            if bfs[d.as_usize()] == u32::MAX {
+                bfs[d.as_usize()] = bfs[c.as_usize()] + 1;
+                queue.push_back(d);
+            }
+        }
+    }
+    if bfs != depth {
+        return Err("depth is not the hop depth below the root");
+    }
+    Ok(())
 }
 
 /// Whether `offsets` holds `rows + 1` positions ascending from 0 to `len`.
@@ -653,6 +709,32 @@ fn dec_reach(buf: &[u8], n: usize) -> Result<ReachabilityIndex> {
     Ok(ReachabilityIndex::from_columns(columns))
 }
 
+fn enc_shortcuts(w: &mut SectionWriter<'_>, shortcuts: &Shortcuts) {
+    let list = shortcuts.list();
+    w.put_u32s(list.iter().map(|s| s.0.raw()));
+    w.put_u32s(list.iter().map(|s| s.1.raw()));
+    w.put_u32s(list.iter().map(|s| s.2));
+}
+
+/// Decode the `shortcuts` section — descendants, ancestors and original
+/// distances — and check it against the decoded graph and closure by the
+/// rules ingestion's overlay obeys: ends in range, each ancestor a strict
+/// ancestor, every distance at least 2, none parallel to a parent edge or
+/// repeated. Then build the scan table over them.
+fn dec_shortcuts(buf: &[u8], ekg: &Ekg, reach: &ReachabilityIndex) -> Result<Shortcuts> {
+    let mut r = SectionReader::new(buf, "shortcuts");
+    let descendants = r.u32_slice()?;
+    let ancestors = r.u32_slice()?;
+    let distances = r.u32_slice()?;
+    if ancestors.len() != descendants.len() || distances.len() != descendants.len() {
+        return r.fail("shortcut columns disagree on length");
+    }
+    let list = (descendants.into_iter().zip(ancestors).zip(distances))
+        .map(|((d, a), w)| (ExtConceptId::new(d), ExtConceptId::new(a), w))
+        .collect();
+    Shortcuts::new(ekg, reach, list).or_else(|e| r.fail(e.to_string()))
+}
+
 fn enc_mapper(w: &mut SectionWriter<'_>, mapper: &ConceptMapper) {
     let (tag, tau, threshold) = match mapper.method() {
         MappingMethod::Exact => (0u32, 0u32, 0.0),
@@ -748,14 +830,12 @@ fn dec_mapper(buf: &[u8], n: usize) -> Result<StoredMapper> {
 }
 
 fn enc_meta(w: &mut SectionWriter<'_>, out: &IngestOutput) {
-    w.put_u64(out.shortcuts_added as u64);
     w.put_u64(out.ekg.len() as u64);
     w.put_u64(out.contexts.len() as u64);
 }
 
-fn dec_meta(buf: &[u8], n: usize, m: usize) -> Result<usize> {
+fn dec_meta(buf: &[u8], n: usize, m: usize) -> Result<()> {
     let mut r = SectionReader::new(buf, "meta");
-    let shortcuts = r.u64()? as usize;
     let concepts = r.u64()? as usize;
     let contexts = r.u64()? as usize;
     if concepts != n || contexts != m {
@@ -763,7 +843,7 @@ fn dec_meta(buf: &[u8], n: usize, m: usize) -> Result<usize> {
             "meta counts ({concepts} concepts, {contexts} contexts) disagree with sections ({n}, {m})"
         ));
     }
-    Ok(shortcuts)
+    Ok(())
 }
 
 #[cfg(test)]

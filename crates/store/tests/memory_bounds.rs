@@ -117,7 +117,7 @@ fn save_open_and_clone_stay_within_their_memory_bounds() {
     let (save, written) = measure(|| WorldStore::save(&out, &path).unwrap());
     let image = std::fs::read(&path).unwrap();
     assert_eq!(written, image.len() as u64);
-    let largest = (0..8)
+    let largest = (0..9)
         .map(|i| {
             let at = 24 + i * 32 + 16;
             u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize

@@ -13,11 +13,12 @@ use std::sync::Arc;
 use medkb_core::{
     ingest, ConceptMapper, Frequencies, FrequencyMode, IngestOutput, MappingMethod, RelaxConfig,
 };
+use medkb_ekg::{EdgeColumns, Ekg};
 use medkb_corpus::{CorpusConfig, CorpusGenerator, MentionCounts};
 use medkb_embed::{EmbeddingIndex, SgnsConfig, SifModel, WordVectors};
 use medkb_snomed::{MedWorld, WorldConfig};
 use medkb_store::{xxh64, WorldStore};
-use medkb_types::MedKbError;
+use medkb_types::{ExtConceptId, Id, MedKbError};
 
 fn tiny_world(seed: u64, mapping: MappingMethod) -> IngestOutput {
     let world = MedWorld::generate(&WorldConfig::tiny(seed));
@@ -45,7 +46,7 @@ fn assert_same_world(a: &IngestOutput, b: &IngestOutput) {
     assert_eq!(a.flagged, b.flagged, "flagged set diverged");
     assert_eq!(a.reach, b.reach, "reachability diverged");
     assert!(a.mapper.bits_eq(&b.mapper), "mapper diverged");
-    assert_eq!(a.shortcuts_added, b.shortcuts_added, "shortcut count diverged");
+    assert_eq!(a.shortcuts, b.shortcuts, "shortcuts diverged");
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn section_longer_than_the_file_is_rejected() {
     let out = tiny_world(22, MappingMethod::Exact);
     let clean = WorldStore::save_bytes(&out);
     let file = ScratchFile::new("overlong");
-    for (section, name) in [(0, "ekg"), (2, "freqs"), (7, "meta")] {
+    for (section, name) in [(0, "ekg"), (2, "freqs"), (6, "shortcuts"), (8, "meta")] {
         let len_at = 24 + section * 32 + 16;
         let offset = le_u64(&clean, len_at - 8) as u64;
         for len in [clean.len() as u64 - offset + 8, u64::MAX - 3] {
@@ -182,6 +183,26 @@ fn wrong_version_is_rejected_with_a_version_defect() {
     }
 }
 
+/// An image of the previous format, whose graph section still carried the
+/// shortcuts, is a typed version defect, from memory and from disk.
+#[test]
+fn a_format_1_image_is_a_version_defect() {
+    let out = tiny_world(16, MappingMethod::Exact);
+    let mut bytes = WorldStore::save_bytes(&out);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    reseal_table(&mut bytes);
+    let file = ScratchFile::new("format-1");
+    for opened in file.open_both(&bytes) {
+        match opened {
+            Err(MedKbError::Validation(report)) => assert!(
+                report.defects().iter().any(|d| d.message.contains("unsupported format version 1")),
+                "{report}"
+            ),
+            other => panic!("expected a version defect, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn wrong_magic_is_rejected() {
     let out = tiny_world(17, MappingMethod::Exact);
@@ -191,14 +212,14 @@ fn wrong_magic_is_rejected() {
 }
 
 /// The store format is pinned byte for byte: the length and xxh64 (seed 0)
-/// of two saved worlds, recorded before the graph moved to flat columns
-/// (DESIGN.md §14.2). A change here is a format change, which needs a new
-/// format version, not a new pin.
+/// of two saved worlds, recorded when format 2 moved the shortcuts out of
+/// the graph section (DESIGN.md §14.2). A change here is a format change,
+/// which needs a new format version, not a new pin.
 #[test]
 fn saved_bytes_are_pinned() {
     for (out, len, digest) in [
-        (tiny_world(13, MappingMethod::Exact), 192_920, 0x9dd4_19fb_b869_b875_u64),
-        (tiny_world(11, MappingMethod::embedding_default()), 305_584, 0x3716_5b0f_9f84_fb2e),
+        (tiny_world(13, MappingMethod::Exact), 183_536, 0xffe2_ddd0_25a0_932a_u64),
+        (tiny_world(11, MappingMethod::embedding_default()), 295_144, 0x1a2b_6576_77fd_d466),
     ] {
         let bytes = WorldStore::save_bytes(&out);
         assert_eq!((bytes.len(), xxh64(&bytes, 0)), (len, digest), "store bytes changed");
@@ -242,19 +263,9 @@ struct EkgLayout {
     n: u32,
     lookup_keys: (usize, usize),
     lookup_values: usize,
-    /// `[up, down]` edge columns.
-    edges: [EdgeLayout; 2],
+    /// `[up, down]` edge columns: where each one's offsets and targets start.
+    edges: [(usize, usize); 2],
     topo: usize,
-}
-
-/// One direction's edge columns: where its offsets and targets start, how
-/// many edges it has, and where its shortcut bitset's last word sits.
-#[derive(Debug, Default, Clone, Copy)]
-struct EdgeLayout {
-    offsets: usize,
-    targets: usize,
-    count: usize,
-    last_shortcut_word: usize,
 }
 
 fn ekg_layout(bytes: &[u8]) -> EkgLayout {
@@ -283,23 +294,30 @@ fn ekg_layout(bytes: &[u8]) -> EkgLayout {
     let lookup_keys = strings(&mut pos);
     u32s(&mut pos); // lookup offsets
     let lookup_values = u32s(&mut pos);
-    let mut edges = [EdgeLayout::default(); 2];
+    let mut edges = [(0, 0); 2];
     for e in &mut edges {
-        e.offsets = u32s(&mut pos);
-        e.count = le_u64(bytes, pos);
-        e.targets = u32s(&mut pos);
-        u32s(&mut pos); // weights
-        pos += 8 + 8 * le_u64(bytes, pos); // shortcut bitset
-        e.last_shortcut_word = pos - 8;
+        *e = (u32s(&mut pos), u32s(&mut pos));
     }
     pos = pad8(pos + 4); // root
     let topo = u32s(&mut pos);
     EkgLayout { n, lookup_keys, lookup_values, edges, topo }
 }
 
+/// `cols` with concept `c`'s list emptied.
+fn without_row(cols: &EdgeColumns, c: ExtConceptId) -> EdgeColumns {
+    let mut out = EdgeColumns { offsets: vec![0], targets: Vec::new() };
+    for x in (0..cols.offsets.len() - 1).map(ExtConceptId::from_usize) {
+        if x != c {
+            out.targets.extend_from_slice(cols.row(x));
+        }
+        out.offsets.push(out.targets.len() as u32);
+    }
+    out
+}
+
 /// A checksum-valid image whose graph breaks one invariant the decoder
 /// checks is rejected with a defect naming `ekg` — never opened, never a
-/// panic later in the scan or a binary search.
+/// panic later in the scan or a binary search, never a different answer.
 #[test]
 fn checksum_valid_graph_defects_are_rejected_at_open() {
     let out = tiny_world(21, MappingMethod::Exact);
@@ -319,12 +337,12 @@ fn checksum_valid_graph_defects_are_rejected_at_open() {
     // direction whose first row is not empty.
     let starts_at_one = [up, down]
         .into_iter()
-        .find(|e| le_u32(&clean, e.offsets + 4) >= 1)
+        .find(|e| le_u32(&clean, e.0 + 4) >= 1)
         .expect("a non-empty first row");
     let u32_patches = [
-        ("edge target out of range", up.targets, at.n),
-        ("edge target out of range", down.targets, at.n + 7),
-        ("edge arrays are inconsistent", starts_at_one.offsets, 1),
+        ("edge target out of range", up.1, at.n),
+        ("edge target out of range", down.1, at.n + 7),
+        ("edge arrays are inconsistent", starts_at_one.0, 1),
         ("lookup id out of range", at.lookup_values, at.n),
         ("not a permutation", at.topo + 4, le_u32(&clean, at.topo)),
     ];
@@ -333,27 +351,93 @@ fn checksum_valid_graph_defects_are_rejected_at_open() {
         .map(|&(want, pos, v)| {
             let mut b = clean.clone();
             b[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
+            reseal(&mut b);
             (want, b)
         })
         .collect();
     let mut unsorted = clean.clone();
     unsorted[key_start] = b'/';
+    reseal(&mut unsorted);
     broken.push(("not strictly ascending", unsorted));
-    // A shortcut bit past the last edge, in the bitset's last word.
-    assert_ne!(up.count % 64, 0, "the last shortcut word has spare bits");
-    let mut stray_bit = clean.clone();
-    stray_bit[up.last_shortcut_word + 7] |= 0x80;
-    broken.push(("edge arrays are inconsistent", stray_bit));
+    // Whole-graph defects, saved through the graph's own columns: one
+    // flagged concept's edge lists emptied (its neighbours still list it),
+    // every depth set to 0, and `topo` reversed (parents first).
+    let flagged = out.flagged.iter().find(|&c| !out.ekg.children(c).is_empty()).unwrap();
+    let mut emptied = out.ekg.parts().clone();
+    emptied.up = without_row(&emptied.up, flagged);
+    emptied.down = without_row(&emptied.down, flagged);
+    let mut flat = out.ekg.parts().clone();
+    flat.depth.fill(0);
+    let mut reversed = out.ekg.parts().clone();
+    reversed.topo.reverse();
+    for (want, parts) in
+        [("mirror", emptied), ("depth", flat), ("against topo", reversed)]
+    {
+        let tampered = IngestOutput { ekg: Arc::new(Ekg::from_parts(parts)), ..out.clone() };
+        broken.push((want, WorldStore::save_bytes(&tampered)));
+    }
     assert!(WorldStore::open_bytes(&clean).is_ok());
-    for (want, mut bytes) in broken {
-        reseal(&mut bytes);
-        match WorldStore::open_bytes(&bytes) {
-            Err(MedKbError::Validation(report)) => assert!(
-                report.defects().iter().any(|d| d.document == "ekg" && d.message.contains(want)),
-                "expected an ekg defect containing {want:?}: {report}"
-            ),
-            Err(other) => panic!("{want}: unexpected error kind {other:?}"),
-            Ok(_) => panic!("{want}: the broken graph opened"),
+    for (want, bytes) in broken {
+        assert_defect(&bytes, "ekg", want);
+    }
+}
+
+/// Where the `shortcuts` section's three u32 columns (descendants,
+/// ancestors, distances) start in an image, and how many shortcuts it has.
+fn shortcut_columns(bytes: &[u8]) -> ([usize; 3], usize) {
+    let mut pos = le_u64(bytes, 24 + 6 * 32 + 8); // section 6's offset
+    let count = le_u64(bytes, pos);
+    let mut columns = [0; 3];
+    for column in &mut columns {
+        *column = pos + 8;
+        pos = (pos + 8 + 4 * count).div_ceil(8) * 8;
+    }
+    (columns, count)
+}
+
+/// A checksum-valid `shortcuts` section that breaks a rule ingestion's
+/// overlay obeys is a `shortcuts` defect at open, from memory and from
+/// disk: an end past the graph, an "ancestor" that is not one, a one-hop
+/// distance, a shortcut beside a parent edge, and a repeat.
+#[test]
+fn checksum_valid_shortcut_defects_are_rejected_at_open() {
+    let out = tiny_world(21, MappingMethod::Exact);
+    let clean = WorldStore::save_bytes(&out);
+    let ([desc, anc, dist], count) = shortcut_columns(&clean);
+    assert!(count >= 2, "the world has {count} shortcuts");
+    let (d0, a0, w0) = out.shortcuts.list()[0];
+    let n = out.ekg.len() as u32;
+    let patched = |edits: &[(usize, u32)]| {
+        let mut b = clean.clone();
+        for &(pos, v) in edits {
+            b[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        reseal(&mut b);
+        b
+    };
+    let parent = out.ekg.parents(d0)[0];
+    let broken = [
+        (patched(&[(desc, n)]), "out of range"),
+        (patched(&[(anc, n + 3)]), "out of range"),
+        (patched(&[(desc, a0.raw()), (anc, d0.raw())]), "not an ancestor"),
+        (patched(&[(dist, 1)]), "at least 2 hops"),
+        (patched(&[(anc, parent.raw())]), "already exists"),
+        (patched(&[(desc + 4, d0.raw()), (anc + 4, a0.raw()), (dist + 4, w0)]), "already exists"),
+    ];
+    let file = ScratchFile::new("shortcuts");
+    assert!(WorldStore::open_bytes(&clean).is_ok());
+    for (bytes, want) in broken {
+        for opened in file.open_both(&bytes) {
+            match opened {
+                Err(MedKbError::Validation(report)) => assert!(
+                    report
+                        .defects()
+                        .iter()
+                        .any(|d| d.document == "shortcuts" && d.message.contains(want)),
+                    "expected a shortcuts defect containing {want:?}: {report}"
+                ),
+                other => panic!("{want}: expected a shortcuts defect, got {other:?}"),
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! `τ = 2`, and embedding matching. This crate supplies the first two plus
 //! the shared plumbing (the embedding matcher lives in `medkb-embed`):
 //!
-//! * [`normalize`] — the canonical form every matcher compares in.
+//! * [`normalize`](mod@normalize) — the canonical form every matcher compares in.
 //! * [`edit`] — banded Levenshtein / Damerau-Levenshtein distances.
 //! * [`ngram`] — a character-trigram inverted index so that τ-bounded
 //!   matching over hundreds of thousands of concept names does not require

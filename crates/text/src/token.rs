@@ -4,7 +4,7 @@
 ///
 /// Tokens are maximal runs of alphanumeric characters; everything else is a
 /// separator. This is intentionally the same segmentation as
-/// [`crate::normalize`], so a normalized name is exactly the space-join of
+/// [`crate::normalize`](fn@crate::normalize), so a normalized name is exactly the space-join of
 /// its tokens.
 ///
 /// ```

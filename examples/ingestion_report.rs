@@ -49,8 +49,8 @@ fn main() -> Result<()> {
     }
 
     println!(
-        "\ncustomization: {} shortcut edges added; graph now {}",
-        out.shortcuts_added,
+        "\ncustomization: {} shortcut edges over a graph of {}",
+        out.shortcuts.len(),
         EkgStats::compute(&out.ekg)
     );
 

@@ -41,7 +41,7 @@ fn main() -> Result<()> {
         "ingested: {} mappings, {} flagged concepts, {} shortcut edges, {} contexts",
         ingested.mappings.len(),
         ingested.flagged.len(),
-        ingested.shortcuts_added,
+        ingested.shortcuts.len(),
         ingested.contexts.len()
     );
 

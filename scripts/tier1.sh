@@ -38,6 +38,10 @@ cargo test -q --test golden_traces --test obs_conformance
 # Lint wall: warnings are errors across every target in the workspace.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The docs build with warnings denied too: a link to a deleted or private
+# item, or a citation bracket read as a link, fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The wire benchmark (perfbench/, gated by BENCHMARK.json) is a Cargo
 # workspace of its own that builds against the crates by path. Build it
 # and run its helper tests, so a crate API change that breaks the

@@ -149,3 +149,33 @@ fn explain_blocks_satisfy_eq5_product() {
     }
     assert!(checked >= 30, "expected a substantive answer pool, got {checked}");
 }
+
+/// `/explain`'s chain walks the Eq. 4 path one native step at a time: for
+/// every golden answer it lists `generalizations + specializations + 1`
+/// concepts, the query first and the answer last, agreeing with the path
+/// line printed above it.
+#[test]
+fn explain_chain_lists_one_concept_per_path_step() {
+    let r = fixture_relaxer(fixture_config());
+    let ekg = &r.ingested().ekg;
+    let mut checked = 0usize;
+    for (term, label) in GOLDEN_QUERIES {
+        let ctx = label.map(|l| context_labeled(&r, l));
+        let res = r.relax(term, ctx, K).unwrap();
+        for a in &res.answers {
+            let text = r.explain(res.query_concept, a.concept, ctx).unwrap();
+            let line = |prefix: &str| {
+                text.lines().find_map(|l| l.trim().strip_prefix(prefix)).expect(prefix)
+            };
+            let path: Vec<&str> = line("path: ").split_whitespace().collect();
+            let (ups, downs): (usize, usize) = (path[0].parse().unwrap(), path[3].parse().unwrap());
+            let chain: Vec<&str> = line("chain: ").split(" → ").collect();
+            let answer = ekg.name(a.concept);
+            assert_eq!(chain.len(), ups + downs + 1, "{term} → {answer}:\n{text}");
+            assert_eq!(chain.first(), Some(&ekg.name(res.query_concept)), "{term}");
+            assert_eq!(chain.last(), Some(&answer), "{term}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "the golden queries have answers");
+}

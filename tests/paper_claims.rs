@@ -102,7 +102,7 @@ fn scenario1_repair_and_scenario2_expansion_end_to_end() {
                 && s.world
                     .terminology
                     .ekg
-                    .neighborhood(c, 4)
+                    .neighborhood(c, 4, &[])
                     .iter()
                     .any(|(n, _)| s.ingested.flagged.contains(n))
         })

@@ -60,7 +60,7 @@ fn full_pipeline_runs_over_a_go_terminology() {
     // Algorithm 1 artifacts exist over the foreign terminology.
     assert_eq!(ingested.contexts.len(), 2);
     assert!(!ingested.flagged.is_empty());
-    assert!(ingested.shortcuts_added > 0, "GO's multi-parent DAG densifies too");
+    assert!(!ingested.shortcuts.is_empty(), "GO's multi-parent DAG densifies too");
 
     // Algorithm 2: relax an *unannotated* GO term to annotated relatives.
     let relaxer = QueryRelaxer::new(ingested, config);
@@ -70,7 +70,7 @@ fn full_pipeline_runs_over_a_go_terminology() {
             terminology.depth(c) >= 2
                 && !relaxer.ingested().flagged.contains(&c)
                 && terminology
-                    .neighborhood(c, 4)
+                    .neighborhood(c, 4, &[])
                     .iter()
                     .any(|(n, _)| relaxer.ingested().flagged.contains(n))
         })
